@@ -4,12 +4,11 @@ multiplicative amplitude-style reinforcement) and two Q-learning baselines."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .gridworld import N_ACTIONS, GridWorld, StepOutcome
-from .quantum import sample_index
 
 ROW_SUM_TOL = 1e-6
 MIN_TEMPERATURE = 1e-12
@@ -278,16 +277,7 @@ class QiRLAgent:
     def __init__(self, env: GridWorld, cfg: QiRLConfig | None = None):
         cfg = cfg if cfg is not None else QiRLConfig()
         if cfg.reward_scale is None:
-            cfg = QiRLConfig(
-                alpha=cfg.alpha,
-                gamma=cfg.gamma,
-                k_plus=cfg.k_plus,
-                k_minus=cfg.k_minus,
-                reward_scale=env.terminal_bonus,
-                exponent_clamp=cfg.exponent_clamp,
-                p_floor=cfg.p_floor,
-                alpha_decay=cfg.alpha_decay,
-            )
+            cfg = replace(cfg, reward_scale=env.terminal_bonus)
         self.cfg = cfg
         self.values = value_table(env.n_states)
         self.prefs = preference_table(env.n_states)

@@ -5,11 +5,12 @@ directory. Exit codes: 0 success, 1 configuration error, 2 runtime error."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .agents import ExplorationSchedule, QiRLConfig
+from .agents import QiRLConfig, default_boltzmann_schedule, default_epsilon_schedule
 from .gridworld import build
 from .harness import AGENT_KINDS, RunConfig, convergence_metrics, read_episodes_csv, run
 from .layout import LayoutError, parse_layout
@@ -48,7 +49,7 @@ def _build_parser() -> _Parser:
     runp.add_argument("--exponent-clamp", type=float, default=10.0)
     runp.add_argument("--p-floor", type=float, default=1e-4)
     runp.add_argument("--explore-initial", type=float, default=None, help="epsilon0 or tau0 override")
-    runp.add_argument("--explore-decay", type=float, default=0.995)
+    runp.add_argument("--explore-decay", type=float, default=None, help="per-episode decay override")
     runp.add_argument("--explore-floor", type=float, default=None, help="epsilon/tau floor override")
     runp.set_defaults(func=_cmd_run)
 
@@ -86,18 +87,15 @@ def _cmd_run(args) -> int:
             p_floor=args.p_floor,
             alpha_decay=args.alpha_decay,
         )
-    elif args.explore_initial is not None or args.explore_floor is not None:
-        kind = "epsilon_greedy" if args.agent == "ql_eps" else "boltzmann"
-        env = build(parse_layout(args.config))
-        initial = args.explore_initial
-        floor = args.explore_floor
-        if kind == "epsilon_greedy":
-            initial = 1.0 if initial is None else initial
-            floor = 0.01 if floor is None else floor
-        else:
-            initial = env.terminal_bonus if initial is None else initial
-            floor = 0.01 * env.terminal_bonus if floor is None else floor
-        schedule = ExplorationSchedule(kind, initial, args.explore_decay, floor)
+    else:
+        given = {"initial": args.explore_initial, "decay": args.explore_decay, "floor": args.explore_floor}
+        overrides = {name: value for name, value in given.items() if value is not None}
+        if overrides:
+            if args.agent == "ql_eps":
+                default = default_epsilon_schedule()
+            else:
+                default = default_boltzmann_schedule(build(parse_layout(args.config)).terminal_bonus)
+            schedule = dataclasses.replace(default, **overrides)
 
     config = RunConfig(
         env_file=args.config,

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class EnvConfig:
             raise ValueError("boundary_penalty must be <= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepOutcome:
     next_state: int
     reward: float
@@ -103,7 +103,9 @@ class GridWorld:
     State id of cell (i, j) is j * n1 + i. Entering a cell pays that cell's
     reward; entering the terminal cell pays the bonus (10x the max cell
     reward) instead and ends the episode. Moves off the grid rebound: same
-    state, boundary penalty (default 0), episode continues.
+    state, boundary penalty (default 0), episode continues. Every move is
+    read from `transitions`, the one table that `step` and the planners
+    share.
     """
 
     def __init__(self, config: EnvConfig):
@@ -138,6 +140,32 @@ class GridWorld:
         size = self.config.grid.cell_size
         return Position3(origin.x + i * size, origin.y + j * size, self.config.grid.altitude)
 
+    @cached_property
+    def transitions(self) -> tuple[tuple[StepOutcome, ...], ...]:
+        """transitions[state][action]: the outcome of every move, built on
+        first use (the planner is its first reader; building it in `build`
+        would charge every env construction). The terminal row is absorbing,
+        a zero-reward self-loop that `step` never returns."""
+        n1, n2 = self.n1, self.n2
+        rewards = self.rewards.tolist()
+        table = []
+        for s in range(self.n_states):
+            if s == self.terminal_state:
+                table.append((StepOutcome(s, 0.0, False, True),) * N_ACTIONS)
+                continue
+            i, j = s % n1, s // n1
+            row = []
+            for di, dj in ACTION_DELTAS:
+                ti, tj = i + di, j + dj
+                if not (0 <= ti < n1 and 0 <= tj < n2):
+                    row.append(StepOutcome(s, self.boundary_penalty, True, False))
+                elif (nxt := tj * n1 + ti) == self.terminal_state:
+                    row.append(StepOutcome(nxt, self.terminal_bonus, False, True))
+                else:
+                    row.append(StepOutcome(nxt, rewards[nxt], False, False))
+            table.append(tuple(row))
+        return tuple(table)
+
     def step(self, state: int, action: int) -> StepOutcome:
         """Deterministic transition. Stepping from the terminal cell is a
         contract violation: episodes end there."""
@@ -146,15 +174,7 @@ class GridWorld:
             raise ValueError("cannot step from the terminal cell")
         if not 0 <= action < N_ACTIONS:
             raise ValueError(f"action {action} outside 0..{N_ACTIONS - 1}")
-        i, j = self.cell_of(state)
-        di, dj = ACTION_DELTAS[action]
-        ti, tj = i + di, j + dj
-        if not (0 <= ti < self.n1 and 0 <= tj < self.n2):
-            return StepOutcome(state, self.boundary_penalty, True, False)
-        nxt = self.state_of(ti, tj)
-        if nxt == self.terminal_state:
-            return StepOutcome(nxt, self.terminal_bonus, False, True)
-        return StepOutcome(nxt, float(self.rewards[nxt]), False, False)
+        return self.transitions[state][action]
 
     def _check_state(self, state: int) -> None:
         if not 0 <= state < self.n_states:

@@ -21,6 +21,7 @@ violations raise LayoutError with the offending line number.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .channel import CarrierConfig, GroundUser, Position3
@@ -41,9 +42,12 @@ def _fail(source: str, line_no: int, message: str) -> None:
 
 def _parse_float(source: str, line_no: int, token: str, field: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         _fail(source, line_no, f"{field} must be a number, got {token!r}")
+    if not math.isfinite(value):
+        _fail(source, line_no, f"{field} must be finite, got {token!r}")
+    return value
 
 
 def _parse_int(source: str, line_no: int, token: str, field: str) -> int:

@@ -23,28 +23,13 @@ class DPResult:
     terminal_reachable: bool  # Manhattan distance fits inside the horizon
 
 
-def _transition_model(env: GridWorld) -> tuple[np.ndarray, np.ndarray]:
-    """next-state and reward arrays, (n_states, n_actions); the terminal row
-    self-loops with zero reward (absorbing)."""
-    nxt = np.empty((env.n_states, N_ACTIONS), dtype=int)
-    rew = np.zeros((env.n_states, N_ACTIONS))
-    for s in range(env.n_states):
-        if s == env.terminal_state:
-            nxt[s] = s
-            continue
-        for a in range(N_ACTIONS):
-            out = env.step(s, a)
-            nxt[s, a] = out.next_state
-            rew[s, a] = out.reward
-    return nxt, rew
-
-
 def dp_optimal(env: GridWorld, horizon: int | None = None) -> DPResult:
     """Maximum achievable episode return by backward induction.
 
     best[t][s] is the largest return collectable from s with t steps left;
     the terminal state is absorbing at 0 once its entry bonus has been paid,
-    and rebounds are modeled like any other transition. With gamma = 1 the
+    and rebounds are modeled like any other transition. Both come from
+    `env.transitions`, the table `env.step` reads. With gamma = 1 the
     horizon index is what makes the recursion exact. The optimal path is
     replayed forward, ties broken by fixed action order; the reported return
     is the forward sum along that path, so it is bit-identical to what a
@@ -59,7 +44,8 @@ def dp_optimal(env: GridWorld, horizon: int | None = None) -> DPResult:
     h = env.max_steps if horizon is None else horizon
     if h < 0:
         raise ValueError("horizon must be non-negative")
-    nxt, rew = _transition_model(env)
+    nxt = np.array([[out.next_state for out in row] for row in env.transitions])
+    rew = np.array([[out.reward for out in row] for row in env.transitions], dtype=float)
     best = np.zeros((h + 1, env.n_states))
     for t in range(1, h + 1):
         candidates = rew + best[t - 1][nxt]

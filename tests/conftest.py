@@ -50,6 +50,7 @@ def make_channel_env(
     max_steps: int,
     start: tuple[int, int] = (0, 0),
     terminal: tuple[int, int] | None = None,
+    boundary_penalty: float = 0.0,
 ) -> GridWorld:
     """Grid whose cell rewards come from the uplink channel model."""
     if terminal is None:
@@ -68,6 +69,7 @@ def make_channel_env(
             terminal_cell=terminal,
             max_steps=max_steps,
             total_bandwidth=10e6,
+            boundary_penalty=boundary_penalty,
         )
     )
 

@@ -1,8 +1,13 @@
 """Command-line interface: subcommands, output wiring, and exit codes."""
 
+import dataclasses
 import json
 
+from qirl_uav.agents import default_boltzmann_schedule, default_epsilon_schedule
 from qirl_uav.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from qirl_uav.gridworld import build
+from qirl_uav.harness import RunConfig, config_hash
+from qirl_uav.layout import parse_layout
 
 from conftest import TINY_LAYOUT
 
@@ -50,6 +55,29 @@ def test_run_subcommand_accepts_qirl_knobs(tmp_path):
     assert code == EXIT_OK
     summary = json.loads((tmp_path / "q" / "summary.json").read_text())
     assert list(summary["seeds"]) == ["5"]
+
+
+def test_explore_decay_alone_overrides_the_default_schedule(tmp_path):
+    """--explore-decay on its own replaces only the decay of the agent's
+    default schedule; the config hash records exactly that schedule."""
+    bonus = build(parse_layout(TINY)).terminal_bonus
+    defaults = {"ql_eps": default_epsilon_schedule(), "ql_boltz": default_boltzmann_schedule(bonus)}
+    for agent, default in defaults.items():
+        plain, decay = tmp_path / agent / "plain", tmp_path / agent / "decay"
+        common = ["--config", TINY, "--agent", agent, "--episodes", "60", "--seeds", "0"]
+        assert run_cli("run", *common, "--out", str(plain)) == EXIT_OK
+        assert run_cli("run", *common, "--out", str(decay), "--explore-decay", "0.5") == EXIT_OK
+        assert (plain / "episodes.csv").read_bytes() != (decay / "episodes.csv").read_bytes()
+        expected = RunConfig(
+            env_file=TINY,
+            agent=agent,
+            episodes=60,
+            seeds=(0,),
+            output_dir=str(decay),
+            schedule=dataclasses.replace(default, decay=0.5),
+        )
+        summary = json.loads((decay / "summary.json").read_text())
+        assert summary["config_hash"] == config_hash(expected, TINY_LAYOUT.read_bytes())
 
 
 def test_oracle_subcommand_prints_optimum(capsys):

@@ -1,7 +1,12 @@
 """Grid geometry, transition mechanics, and environment validation."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qirl_uav.channel import CarrierConfig, GroundUser, Position3
 from qirl_uav.gridworld import (
@@ -13,8 +18,9 @@ from qirl_uav.gridworld import (
     build,
     manhattan,
 )
+from qirl_uav.layout import parse_layout
 
-from conftest import make_channel_env, make_uniform_env
+from conftest import DESK_LAYOUT, TINY_LAYOUT, make_channel_env, make_uniform_env
 
 
 def test_action_deltas_match_enum_semantics():
@@ -115,6 +121,71 @@ def test_step_rejects_terminal_state_and_bad_action():
         env.step(env.start_state, 4)
     with pytest.raises(ValueError):
         env.step(-1, Action.FORWARD)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def assert_table_matches_geometry(env):
+    """Check every move in env.transitions against coordinate arithmetic done
+    here, independent of the table: state j * n1 + i, each action's unit step,
+    rebounds at the edges, and the bonus for entering the terminal cell."""
+    cfg = env.config
+    n1, n2 = cfg.grid.n1, cfg.grid.n2
+    terminal = cfg.terminal_cell[1] * n1 + cfg.terminal_cell[0]
+    bonus = 10.0 * float(env.rewards.max())
+    moves = {Action.FORWARD: (0, 1), Action.BACKWARD: (0, -1), Action.LEFT: (-1, 0), Action.RIGHT: (1, 0)}
+    assert len(env.transitions) == n1 * n2
+    for j in range(n2):
+        for i in range(n1):
+            s = j * n1 + i
+            if s == terminal:
+                continue
+            for action, (di, dj) in moves.items():
+                out = env.transitions[s][action]
+                assert env.step(s, action) is out
+                ti, tj = i + di, j + dj
+                if 0 <= ti < n1 and 0 <= tj < n2:
+                    nxt = tj * n1 + ti
+                    reward = bonus if nxt == terminal else float(env.rewards[nxt])
+                    expected = (nxt, _bits(reward), False, nxt == terminal)
+                else:
+                    expected = (s, _bits(cfg.boundary_penalty), True, False)
+                assert (out.next_state, _bits(out.reward), out.boundary_hit, out.terminal) == expected
+    # absorbing terminal row: a zero-reward self-loop under every action
+    assert len(env.transitions[terminal]) == N_ACTIONS
+    for out in env.transitions[terminal]:
+        assert (out.next_state, _bits(out.reward)) == (terminal, _bits(0.0))
+
+
+@pytest.mark.parametrize("penalty", [None, -0.75])
+@pytest.mark.parametrize("layout", [TINY_LAYOUT, DESK_LAYOUT], ids=["tiny", "desk"])
+def test_transition_table_matches_geometry_on_shipped_layouts(layout, penalty):
+    config = parse_layout(layout)
+    if penalty is not None:
+        config = dataclasses.replace(config, boundary_penalty=penalty)
+    assert_table_matches_geometry(build(config))
+
+
+@st.composite
+def small_channel_envs(draw):
+    n1 = draw(st.integers(2, 8))
+    n2 = draw(st.integers(2, 16 // n1))
+    start, terminal = draw(
+        st.lists(st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1)), min_size=2, max_size=2, unique=True)
+    )
+    users = draw(
+        st.lists(st.tuples(st.floats(0.0, 20.0 * n1), st.floats(0.0, 20.0 * n2)), min_size=1, max_size=3)
+    )
+    penalty = draw(st.floats(-5.0, -1e-3))
+    return make_channel_env(n1, n2, users, manhattan(start, terminal), start, terminal, penalty)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_channel_envs())
+def test_transition_table_matches_geometry_on_drawn_grids(env):
+    assert_table_matches_geometry(env)
 
 
 def _config(**overrides):

@@ -161,3 +161,22 @@ def test_nonpositive_scalars_rejected(tmp_path):
 def test_grid_too_small_rejected(tmp_path):
     lines = ["grid 1 3"] + VALID_LINES[1:]
     expect_error(tmp_path, lines, "at least 2 cells per side")
+
+
+@pytest.mark.parametrize(
+    "bad, line",
+    [
+        ("cell_size nan", 2),
+        ("bandwidth inf", 5),
+        ("uniform_reward inf", 9),
+        ("boundary_penalty -inf", 10),
+        ("user 10 20 inf 1 2e6", 10),
+    ],
+)
+def test_non_finite_value_reports_line(tmp_path, bad, line):
+    key = bad.split()[0]
+    lines = [bad if l.startswith(key + " ") else l for l in VALID_LINES]
+    if bad not in lines:
+        lines.append(bad)
+    msg = expect_error(tmp_path, lines, "must be finite")
+    assert f"line {line}:" in msg
