@@ -39,11 +39,11 @@ class GroundUser:
         if self.position.z != 0.0:
             raise ValueError("ground user must sit at z = 0")
         if self.tx_power <= 0.0:
-            raise ValueError("tx_power must be positive")
+            raise ValueError("user tx_power must be positive")
         if self.noise_power <= 0.0:
-            raise ValueError("noise_power must be positive")
+            raise ValueError("user noise_power must be positive")
         if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be positive")
+            raise ValueError("user bandwidth must be positive")
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,12 @@ def path_loss_db(distance: float, carrier: CarrierConfig) -> float:
 
 
 def snr(path_loss: float, user: GroundUser) -> float:
-    """Received SNR for one user given a path loss in dB."""
-    return user.tx_power / (user.noise_power * 10.0 ** (path_loss / 10.0))
+    """Received SNR for one user given a path loss in dB. A loss too large
+    for a double in linear units gives 0.0, the SNR's exact limit."""
+    try:
+        return user.tx_power / (user.noise_power * 10.0 ** (path_loss / 10.0))
+    except OverflowError:
+        return 0.0
 
 
 def sum_rate(uav_position: Position3, users: tuple[GroundUser, ...], carrier: CarrierConfig) -> float:

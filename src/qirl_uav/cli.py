@@ -1,6 +1,7 @@
 """Command line: `run` trains and writes outputs, `oracle` prints the DP
-optimum for a layout, `metrics` recomputes convergence numbers from a run
-directory. Exit codes: 0 success, 1 configuration error, 2 runtime error."""
+optimum for a layout, `metrics` recomputes convergence numbers from the
+summary.json and episodes.csv of a run directory. Exit codes: 0 success,
+1 configuration error, 2 runtime error."""
 
 from __future__ import annotations
 
@@ -19,6 +20,11 @@ from .oracle import DPResult, dp_optimal
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
+
+
+_QIRL_KNOBS = ("k_plus", "k_minus", "reward_scale", "exponent_clamp", "p_floor", "alpha_decay")
+_EXPLORE_KNOBS = ("explore_initial", "explore_decay", "explore_floor")
+_BASELINE_KNOBS = ("gamma",) + _EXPLORE_KNOBS
 
 
 class _CliError(Exception):
@@ -40,17 +46,18 @@ def _build_parser() -> _Parser:
     runp.add_argument("--episodes", required=True, type=int)
     runp.add_argument("--seeds", required=True, help="comma-separated integers, e.g. 0,1,2")
     runp.add_argument("--out", required=True, help="output directory")
-    runp.add_argument("--alpha", type=float, default=0.1, help="learning rate (default 0.1)")
-    runp.add_argument("--gamma", type=float, default=1.0, help="baseline discount (default 1.0)")
-    runp.add_argument("--alpha-decay", type=float, default=0.0, help="qirl: c in alpha/(1+c*k)")
-    runp.add_argument("--k-plus", type=float, default=1.0, help="qirl reinforcement exponent, positive branch")
-    runp.add_argument("--k-minus", type=float, default=-1.0, help="qirl reinforcement exponent, negative branch")
-    runp.add_argument("--reward-scale", type=float, default=None, help="qirl exponent divisor (default: terminal bonus)")
-    runp.add_argument("--exponent-clamp", type=float, default=10.0)
-    runp.add_argument("--p-floor", type=float, default=1e-4)
-    runp.add_argument("--explore-initial", type=float, default=None, help="epsilon0 or tau0 override")
-    runp.add_argument("--explore-decay", type=float, default=None, help="per-episode decay override")
-    runp.add_argument("--explore-floor", type=float, default=None, help="epsilon/tau floor override")
+    # Agent knobs left out keep the default of the config dataclass that owns them.
+    runp.add_argument("--alpha", type=float, help="learning rate")
+    runp.add_argument("--gamma", type=float, help="baseline discount")
+    runp.add_argument("--alpha-decay", type=float, help="qirl: c in alpha/(1+c*k)")
+    runp.add_argument("--k-plus", type=float, help="qirl reinforcement exponent, positive branch")
+    runp.add_argument("--k-minus", type=float, help="qirl reinforcement exponent, negative branch")
+    runp.add_argument("--reward-scale", type=float, help="qirl exponent divisor (default: terminal bonus)")
+    runp.add_argument("--exponent-clamp", type=float, help="qirl bound on the reinforcement exponent")
+    runp.add_argument("--p-floor", type=float, help="qirl preference floor")
+    runp.add_argument("--explore-initial", type=float, help="epsilon0 or tau0 override")
+    runp.add_argument("--explore-decay", type=float, help="per-episode decay override")
+    runp.add_argument("--explore-floor", type=float, help="epsilon/tau floor override")
     runp.set_defaults(func=_cmd_run)
 
     oraclep = sub.add_parser("oracle", help="print the DP-optimal return and path for a layout")
@@ -74,22 +81,22 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
+def _given(args, names: tuple[str, ...]) -> dict:
+    """The knobs among `names` that the user gave, keyed by argparse dest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_run(args) -> int:
-    qirl_cfg = None
-    schedule = None
-    if args.agent == "qirl":
-        qirl_cfg = QiRLConfig(
-            alpha=args.alpha,
-            k_plus=args.k_plus,
-            k_minus=args.k_minus,
-            reward_scale=args.reward_scale,
-            exponent_clamp=args.exponent_clamp,
-            p_floor=args.p_floor,
-            alpha_decay=args.alpha_decay,
-        )
+    is_qirl = args.agent == "qirl"
+    foreign = _given(args, _BASELINE_KNOBS if is_qirl else _QIRL_KNOBS)
+    if foreign:
+        flag = "--" + next(iter(foreign)).replace("_", "-")
+        raise _CliError(f"{flag} does not apply to --agent {args.agent}")
+    qirl_cfg = schedule = None
+    if is_qirl:
+        qirl_cfg = QiRLConfig(**_given(args, ("alpha",) + _QIRL_KNOBS))
     else:
-        given = {"initial": args.explore_initial, "decay": args.explore_decay, "floor": args.explore_floor}
-        overrides = {name: value for name, value in given.items() if value is not None}
+        overrides = {name.removeprefix("explore_"): value for name, value in _given(args, _EXPLORE_KNOBS).items()}
         if overrides:
             if args.agent == "ql_eps":
                 default = default_epsilon_schedule()
@@ -103,10 +110,9 @@ def _cmd_run(args) -> int:
         episodes=args.episodes,
         seeds=_parse_seeds(args.seeds),
         output_dir=args.out,
-        alpha=args.alpha,
-        gamma=args.gamma,
         qirl=qirl_cfg,
         schedule=schedule,
+        **_given(args, ("alpha", "gamma")),
     )
     paths = run(config)
     for name in ("episodes", "trajectory", "summary"):
@@ -139,15 +145,16 @@ def _cmd_metrics(args) -> int:
         raise _CliError(f"{run_dir} does not contain episodes.csv and summary.json")
     with open(summary_path) as fh:
         summary = json.load(fh)
+    for key in ("seeds", "oracle_return"):
+        if not isinstance(summary, dict) or key not in summary:
+            raise _CliError(f"{summary_path} has no {key!r}")
     rows = read_episodes_csv(episodes_path)
 
-    env = build(parse_layout(summary["env_file"]))
-    oracle = dp_optimal(env)
     print("seed,episodes_to_90pct,final_return_mean,oracle_gap")
     for seed_key in sorted(summary["seeds"], key=int):
         seed = int(seed_key)
         logs = [log for s, log in rows if s == seed]
-        metric = convergence_metrics(logs, oracle, summary["seeds"][seed_key]["greedy_return"])
+        metric = convergence_metrics(logs, summary["oracle_return"], summary["seeds"][seed_key]["greedy_return"])
         print(
             f"{seed},{metric.episodes_to_90pct},"
             f"{'' if metric.final_return_mean is None else repr(metric.final_return_mean)},"

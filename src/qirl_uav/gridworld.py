@@ -29,6 +29,16 @@ ACTION_DELTAS = ((0, 1), (0, -1), (-1, 0), (1, 0))
 N_ACTIONS = len(Action)
 
 
+class FieldError(ValueError):
+    """A config value out of range: `field` names the dataclass field and
+    `index` the offending entry of a tuple field, so callers can trace it."""
+
+    def __init__(self, field: str, message: str, index: int | None = None):
+        super().__init__(message)
+        self.field = field
+        self.index = index
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Grid geometry: n1 x n2 cells of cell_size meters, flown at a fixed
@@ -41,12 +51,12 @@ class GridSpec:
     altitude: float
 
     def __post_init__(self):
-        if self.n1 < 2 or self.n2 < 2:
-            raise ValueError("grid needs at least 2 cells per side")
-        if self.cell_size <= 0.0:
-            raise ValueError("cell_size must be positive")
-        if self.altitude <= 0.0:
-            raise ValueError("altitude must be positive")
+        for name in ("n1", "n2"):
+            if getattr(self, name) < 2:
+                raise FieldError(name, "grid needs at least 2 cells per side")
+        for name in ("cell_size", "altitude"):
+            if getattr(self, name) <= 0.0:
+                raise FieldError(name, f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -62,27 +72,32 @@ class EnvConfig:
     boundary_penalty: float = 0.0
 
     def __post_init__(self):
-        for name, (i, j) in (("start_cell", self.start_cell), ("terminal_cell", self.terminal_cell)):
-            if not (0 <= i < self.grid.n1 and 0 <= j < self.grid.n2):
-                raise ValueError(f"{name} ({i}, {j}) outside {self.grid.n1}x{self.grid.n2} grid")
+        n1, n2 = self.grid.n1, self.grid.n2
+        for name in ("start_cell", "terminal_cell"):
+            i, j = getattr(self, name)
+            if not (0 <= i < n1 and 0 <= j < n2):
+                raise FieldError(name, f"{name.removesuffix('_cell')} cell ({i}, {j}) outside {n1}x{n2} grid")
         if self.start_cell == self.terminal_cell:
-            raise ValueError("start_cell equals terminal_cell")
+            raise FieldError("terminal_cell", "terminal cell equals start cell")
         if self.uniform_reward is None:
             if not self.users:
-                raise ValueError("at least one ground user is required unless uniform_reward is set")
+                raise FieldError("users", "no user lines and no uniform_reward: the reward field needs one of them")
         elif self.uniform_reward <= 0.0:
-            raise ValueError("uniform_reward must be positive")
+            raise FieldError("uniform_reward", "uniform_reward must be positive")
         if self.total_bandwidth <= 0.0:
-            raise ValueError("total_bandwidth must be positive")
-        allocated = sum(u.bandwidth for u in self.users)
-        if allocated > self.total_bandwidth * (1.0 + 1e-12):
-            raise ValueError(
-                f"user bandwidth sum {allocated:g} Hz exceeds total_bandwidth {self.total_bandwidth:g} Hz"
-            )
-        if self.max_steps < manhattan(self.start_cell, self.terminal_cell):
-            raise ValueError("max_steps smaller than the start-terminal Manhattan distance")
+            raise FieldError("total_bandwidth", "total bandwidth must be positive")
+        allocated = 0.0
+        for index, user in enumerate(self.users):
+            allocated += user.bandwidth
+            if allocated > self.total_bandwidth * (1.0 + 1e-12):
+                message = f"user bandwidth sum {allocated:g} Hz exceeds total bandwidth {self.total_bandwidth:g} Hz"
+                raise FieldError("users", message, index)
+        distance = manhattan(self.start_cell, self.terminal_cell)
+        if self.max_steps < distance:
+            message = f"max_steps {self.max_steps} below start-terminal Manhattan distance {distance}"
+            raise FieldError("max_steps", message)
         if self.boundary_penalty > 0.0:
-            raise ValueError("boundary_penalty must be <= 0")
+            raise FieldError("boundary_penalty", "boundary_penalty must be <= 0")
 
 
 @dataclass(frozen=True, slots=True)

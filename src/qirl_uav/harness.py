@@ -30,7 +30,7 @@ from .agents import (
 )
 from .gridworld import GridWorld, build
 from .layout import parse_layout
-from .oracle import DPResult, dp_optimal
+from .oracle import dp_optimal
 
 AGENT_KINDS = ("qirl", "ql_eps", "ql_boltz")
 WINDOW = 50  # moving-average width for convergence metrics
@@ -157,15 +157,15 @@ def _replay_return(env: GridWorld, actions: list[int]) -> float:
     return total
 
 
-def convergence_metrics(logs: list[EpisodeLog], oracle: DPResult, greedy_return: float) -> ConvergenceMetric:
-    """Window-averaged convergence summary against the DP oracle.
+def convergence_metrics(logs: list[EpisodeLog], optimal_return: float, greedy_return: float) -> ConvergenceMetric:
+    """Window-averaged convergence summary against the planner optimum.
 
     episodes_to_90pct is the first (1-based) episode whose trailing
     WINDOW-mean reaches 90% of the final trailing mean; a constant return
     sequence therefore yields exactly WINDOW. Undefined (None) with fewer
     than WINDOW episodes. oracle_gap = (optimal - greedy) / optimal.
     """
-    gap = (oracle.optimal_return - greedy_return) / oracle.optimal_return
+    gap = (optimal_return - greedy_return) / optimal_return
     if len(logs) < WINDOW:
         return ConvergenceMetric(None, None, gap)
     returns = np.array([log.total_return for log in logs])
@@ -257,7 +257,7 @@ def run(config: RunConfig) -> dict[str, Path]:
         agent = make_agent(config, env)
         logs = train(env, agent, config.episodes, rng)
         rollout = greedy_rollout(env, agent.greedy_action)
-        metric = convergence_metrics(logs, oracle, rollout.total_return)
+        metric = convergence_metrics(logs, oracle.optimal_return, rollout.total_return)
         episode_rows.extend((seed, log) for log in logs)
         rollouts[seed] = rollout
         greedy_steps = len(rollout.states) - 1

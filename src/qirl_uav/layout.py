@@ -15,8 +15,10 @@ Each non-blank line is `keyword value...`; `#` starts a comment. Keywords:
     uniform_reward R                synthetic constant cell reward (optional)
     boundary_penalty R              reward on rebound, <= 0 (optional)
 
-Users may be omitted only when uniform_reward is given. Parse and invariant
-violations raise LayoutError with the offending line number.
+Users may be omitted only when uniform_reward is given. This module checks
+the syntax; the config dataclasses (GridSpec, EnvConfig, GroundUser,
+CarrierConfig) check the values. Either kind of error raises LayoutError
+with the line that supplied the offending value.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from pathlib import Path
 
 from .channel import CarrierConfig, GroundUser, Position3
-from .gridworld import EnvConfig, GridSpec, manhattan
+from .gridworld import EnvConfig, FieldError, GridSpec
 
 
 class LayoutError(ValueError):
@@ -34,6 +36,15 @@ class LayoutError(ValueError):
 
 _REQUIRED = ("grid", "cell_size", "altitude", "carrier_freq", "bandwidth", "start", "terminal", "max_steps")
 _SCALAR_KEYS = _REQUIRED + ("origin", "uniform_reward", "boundary_penalty")
+_USER_VALUES = ("x", "y", "tx_power", "noise_power", "bandwidth")
+# The keyword that supplies each config field whose name differs from it.
+_KEYWORD_OF_FIELD = {
+    "n1": "grid",
+    "n2": "grid",
+    "start_cell": "start",
+    "terminal_cell": "terminal",
+    "total_bandwidth": "bandwidth",
+}
 
 
 def _fail(source: str, line_no: int, message: str) -> None:
@@ -57,14 +68,26 @@ def _parse_int(source: str, line_no: int, token: str, field: str) -> int:
         _fail(source, line_no, f"{field} must be an integer, got {token!r}")
 
 
+def _build(source: str, line_no: int, make, *args):
+    """make(*args), with a rejected value reported at the line that supplied it."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        _fail(source, line_no, str(exc))
+
+
 def parse_layout(path: str | Path) -> EnvConfig:
     """Read a layout file and return a validated EnvConfig."""
     path = Path(path)
     source = str(path)
+    try:
+        content = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LayoutError(f"{source}: not UTF-8 text ({exc})") from exc
     fields: dict[str, tuple] = {}  # keyword -> (values, line_no)
     users: list[tuple] = []  # (values, line_no)
 
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(content.splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
@@ -83,8 +106,6 @@ def parse_layout(path: str | Path) -> EnvConfig:
     for key in _REQUIRED:
         if key not in fields:
             raise LayoutError(f"{source}: missing required field {key!r}")
-    if not users and "uniform_reward" not in fields:
-        raise LayoutError(f"{source}: no user lines and no uniform_reward")
 
     def take(key: str, count: int) -> tuple[list[str], int]:
         args, line_no = fields[key]
@@ -92,100 +113,52 @@ def parse_layout(path: str | Path) -> EnvConfig:
             _fail(source, line_no, f"{key} takes {count} value(s), got {len(args)}")
         return args, line_no
 
+    def scalar(key: str, parse=_parse_float):
+        args, line_no = take(key, 1)
+        return parse(source, line_no, args[0], key)
+
     args, ln = take("grid", 2)
     n1, n2 = (_parse_int(source, ln, a, "grid size") for a in args)
-    grid_line = ln
-    if n1 < 2 or n2 < 2:
-        _fail(source, grid_line, "grid needs at least 2 cells per side")
-
-    args, ln = take("cell_size", 1)
-    cell_size = _parse_float(source, ln, args[0], "cell_size")
-    if cell_size <= 0.0:
-        _fail(source, ln, "cell_size must be positive")
-
-    args, ln = take("altitude", 1)
-    altitude = _parse_float(source, ln, args[0], "altitude")
-    if altitude <= 0.0:
-        _fail(source, ln, "altitude must be positive")
-
+    cell_size = scalar("cell_size")
+    altitude = scalar("altitude")
     if "origin" in fields:
         args, ln = take("origin", 2)
         ox = _parse_float(source, ln, args[0], "origin x")
         oy = _parse_float(source, ln, args[1], "origin y")
     else:
         ox = oy = cell_size / 2.0
-
-    args, ln = take("carrier_freq", 1)
-    carrier_freq = _parse_float(source, ln, args[0], "carrier_freq")
-    if carrier_freq <= 0.0:
-        _fail(source, ln, "carrier_freq must be positive")
-
-    args, ln = take("bandwidth", 1)
-    bandwidth = _parse_float(source, ln, args[0], "bandwidth")
-    if bandwidth <= 0.0:
-        _fail(source, ln, "bandwidth must be positive")
-
+    carrier = _build(source, fields["carrier_freq"][1], CarrierConfig, scalar("carrier_freq"))
+    bandwidth = scalar("bandwidth")
     cells = {}
     for key in ("start", "terminal"):
         args, ln = take(key, 2)
-        i = _parse_int(source, ln, args[0], f"{key} i")
-        j = _parse_int(source, ln, args[1], f"{key} j")
-        if not (0 <= i < n1 and 0 <= j < n2):
-            _fail(source, ln, f"{key} cell ({i}, {j}) outside {n1}x{n2} grid")
-        cells[key] = ((i, j), ln)
-    if cells["start"][0] == cells["terminal"][0]:
-        _fail(source, cells["terminal"][1], "terminal cell equals start cell")
-
-    args, ln = take("max_steps", 1)
-    max_steps = _parse_int(source, ln, args[0], "max_steps")
-    distance = manhattan(cells["start"][0], cells["terminal"][0])
-    if max_steps < distance:
-        _fail(source, ln, f"max_steps {max_steps} below start-terminal Manhattan distance {distance}")
-
-    uniform_reward = None
-    if "uniform_reward" in fields:
-        args, ln = take("uniform_reward", 1)
-        uniform_reward = _parse_float(source, ln, args[0], "uniform_reward")
-        if uniform_reward <= 0.0:
-            _fail(source, ln, "uniform_reward must be positive")
-
-    boundary_penalty = 0.0
-    if "boundary_penalty" in fields:
-        args, ln = take("boundary_penalty", 1)
-        boundary_penalty = _parse_float(source, ln, args[0], "boundary_penalty")
-        if boundary_penalty > 0.0:
-            _fail(source, ln, "boundary_penalty must be <= 0")
+        cells[key] = (_parse_int(source, ln, args[0], f"{key} i"), _parse_int(source, ln, args[1], f"{key} j"))
+    max_steps = scalar("max_steps", _parse_int)
+    uniform_reward = scalar("uniform_reward") if "uniform_reward" in fields else None
+    boundary_penalty = scalar("boundary_penalty") if "boundary_penalty" in fields else 0.0
 
     parsed_users = []
-    allocated = 0.0
     for args, ln in users:
-        x = _parse_float(source, ln, args[0], "user x")
-        y = _parse_float(source, ln, args[1], "user y")
-        tx = _parse_float(source, ln, args[2], "user tx_power")
-        noise = _parse_float(source, ln, args[3], "user noise_power")
-        bw = _parse_float(source, ln, args[4], "user bandwidth")
-        if tx <= 0.0:
-            _fail(source, ln, "user tx_power must be positive")
-        if noise <= 0.0:
-            _fail(source, ln, "user noise_power must be positive")
-        if bw <= 0.0:
-            _fail(source, ln, "user bandwidth must be positive")
-        allocated += bw
-        if allocated > bandwidth * (1.0 + 1e-12):
-            _fail(source, ln, f"user bandwidth sum {allocated:g} Hz exceeds total bandwidth {bandwidth:g} Hz")
-        parsed_users.append(GroundUser(Position3(x, y, 0.0), tx, noise, bw))
+        x, y, tx, noise, bw = (_parse_float(source, ln, a, f"user {name}") for a, name in zip(args, _USER_VALUES))
+        parsed_users.append(_build(source, ln, GroundUser, Position3(x, y, 0.0), tx, noise, bw))
 
     try:
         return EnvConfig(
             grid=GridSpec(n1, n2, cell_size, Position3(ox, oy, altitude), altitude),
             users=tuple(parsed_users),
-            carrier=CarrierConfig(carrier_freq),
-            start_cell=cells["start"][0],
-            terminal_cell=cells["terminal"][0],
+            carrier=carrier,
+            start_cell=cells["start"],
+            terminal_cell=cells["terminal"],
             max_steps=max_steps,
             total_bandwidth=bandwidth,
             uniform_reward=uniform_reward,
             boundary_penalty=boundary_penalty,
         )
-    except ValueError as exc:  # anything the per-line checks above did not attribute
-        raise LayoutError(f"{source}: {exc}") from exc
+    except FieldError as exc:
+        if exc.index is not None:
+            line_no = users[exc.index][1]
+        else:
+            line_no = fields.get(_KEYWORD_OF_FIELD.get(exc.field, exc.field), (None, None))[1]
+        if line_no is None:
+            raise LayoutError(f"{source}: {exc}") from exc
+        _fail(source, line_no, str(exc))

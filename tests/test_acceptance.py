@@ -96,7 +96,7 @@ def small_grid_runs(tiny_env_module):
             agent = build_agent()
             logs = train(env, agent, 2000, make_rng(seed))
             rollout = greedy_rollout(env, agent.greedy_action)
-            gaps[name].append(convergence_metrics(logs, oracle, rollout.total_return).oracle_gap)
+            gaps[name].append(convergence_metrics(logs, oracle.optimal_return, rollout.total_return).oracle_gap)
     return gaps, time.perf_counter() - t0
 
 
@@ -132,7 +132,7 @@ def desk_runs(desk_env):
             agent = build_agent()
             logs = train(desk_env, agent, episodes, make_rng(seed))
             rollout = greedy_rollout(desk_env, agent.greedy_action)
-            metric = convergence_metrics(logs, oracle, rollout.total_return)
+            metric = convergence_metrics(logs, oracle.optimal_return, rollout.total_return)
             reached.append(rollout.reached_terminal)
             ep90.append(metric.episodes_to_90pct)
             gaps.append(metric.oracle_gap)

@@ -57,6 +57,13 @@ def test_snr_scales_linearly_with_tx_power():
     assert doubled == 2.0 * base
 
 
+def test_snr_is_zero_once_the_linear_loss_overflows():
+    # 10 ** (loss / 10) exceeds a double beyond about 3080 dB; 1e200 m is ~4040 dB
+    assert snr(path_loss_db(1e200, CARRIER_2GHZ), unit_user()) == 0.0
+    assert snr(path_loss_db(1e150, CARRIER_2GHZ), unit_user()) > 0.0
+    assert sum_rate(Position3(0.0, 0.0, 100.0), (unit_user(1e200),), CARRIER_2GHZ) == 0.0
+
+
 def test_single_user_rate_reference_point():
     uav = Position3(0.0, 0.0, 100.0)
     rate = sum_rate(uav, (unit_user(),), CARRIER_2GHZ)

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 
-from qirl_uav.agents import default_boltzmann_schedule, default_epsilon_schedule
+import pytest
+
+from qirl_uav.agents import QiRLConfig, default_boltzmann_schedule, default_epsilon_schedule
 from qirl_uav.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qirl_uav.gridworld import build
 from qirl_uav.harness import RunConfig, config_hash
@@ -55,6 +57,46 @@ def test_run_subcommand_accepts_qirl_knobs(tmp_path):
     assert code == EXIT_OK
     summary = json.loads((tmp_path / "q" / "summary.json").read_text())
     assert list(summary["seeds"]) == ["5"]
+
+
+def test_plain_qirl_run_hashes_the_default_qirl_config(tmp_path):
+    out = tmp_path / "q"
+    common = ["--agent", "qirl", "--episodes", "30", "--seeds", "0", "--out", str(out)]
+    assert run_cli("run", "--config", TINY, *common) == EXIT_OK
+    expected = RunConfig(env_file=TINY, agent="qirl", episodes=30, seeds=(0,), output_dir=str(out), qirl=QiRLConfig())
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config_hash"] == config_hash(expected, TINY_LAYOUT.read_bytes())
+
+
+BASELINE_FLAGS = [
+    ("--gamma", "0.5"),
+    ("--explore-initial", "0.5"),
+    ("--explore-decay", "0.5"),
+    ("--explore-floor", "0.05"),
+]
+QIRL_FLAGS = [
+    ("--k-plus", "5"),
+    ("--k-minus", "-0.5"),
+    ("--reward-scale", "2"),
+    ("--exponent-clamp", "5"),
+    ("--p-floor", "0.01"),
+    ("--alpha-decay", "0.1"),
+]
+FOREIGN_FLAGS = [("qirl", *f) for f in BASELINE_FLAGS] + [
+    (agent, *f) for agent in ("ql_eps", "ql_boltz") for f in QIRL_FLAGS
+]
+
+
+@pytest.mark.parametrize("agent, flag, value", FOREIGN_FLAGS)
+def test_flag_for_the_other_agent_kind_is_config_error(tmp_path, capsys, agent, flag, value):
+    out = tmp_path / "x"
+    code = run_cli(
+        "run", "--config", TINY, "--agent", agent,
+        "--episodes", "5", "--seeds", "0", "--out", str(out), flag, value,
+    )
+    assert code == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_explore_decay_alone_overrides_the_default_schedule(tmp_path):
@@ -111,6 +153,44 @@ def test_metrics_subcommand_recomputes_from_run_dir(tmp_path, capsys):
     assert lines[0] == "seed,episodes_to_90pct,final_return_mean,oracle_gap"
     assert len(lines) == 3
     assert lines[1].startswith("0,") and lines[2].startswith("3,")
+
+
+def test_metrics_reads_the_run_not_the_current_layout(tmp_path, capsys):
+    """`metrics` restates summary.json even after the layout file changed."""
+    layout = tmp_path / "layout.txt"
+    layout.write_text(TINY_LAYOUT.read_text())
+    out = tmp_path / "m"
+    common = ["--agent", "ql_eps", "--episodes", "60", "--seeds", "0,1", "--out", str(out)]
+    assert run_cli("run", "--config", str(layout), *common) == EXIT_OK
+    layout.write_text(TINY_LAYOUT.read_text().replace("uniform_reward 1.0", "uniform_reward 3.0"))
+    capsys.readouterr()
+    assert run_cli("metrics", "--in", str(out)) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())["seeds"]
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == ["0", "1"]
+    for line in lines:
+        seed, ep90, final, gap = line.split(",")
+        want = summary[seed]
+        assert (int(ep90), float(final), float(gap)) == (
+            want["episodes_to_90pct"], want["final_return_mean"], want["oracle_gap"]
+        )
+
+
+@pytest.mark.parametrize("key", ["seeds", "oracle_return"])
+def test_metrics_on_summary_without_key_is_config_error(tmp_path, capsys, key):
+    (tmp_path / "episodes.csv").write_text("seed,episode,return,steps,reached_terminal\n")
+    summary = {"seeds": {}, "oracle_return": 13.0}
+    del summary[key]
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    assert run_cli("metrics", "--in", str(tmp_path)) == EXIT_CONFIG
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_oracle_on_a_user_beyond_double_path_loss_range(tmp_path, capsys):
+    layout = tmp_path / "far.txt"
+    layout.write_text(TINY_LAYOUT.read_text().replace("uniform_reward 1.0", "user 1e200 0 1 1 1e6"))
+    assert run_cli("oracle", "--config", str(layout)) == EXIT_OK
+    assert "optimal_return: 0.0" in capsys.readouterr().out
 
 
 def test_missing_subcommand_is_config_error(capsys):

@@ -85,7 +85,7 @@ def test_oracle_gap_sign_and_scale():
 
 
 def _oracle_13():
-    return dp_optimal(make_uniform_env())
+    return dp_optimal(make_uniform_env()).optimal_return
 
 
 # ---------------------------------------------------------------- training loop

@@ -1,7 +1,10 @@
 """Layout file parsing: happy paths for the shipped files, line-attributed errors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qirl_uav.gridworld import EnvConfig
 from qirl_uav.layout import LayoutError, parse_layout
 
 from conftest import DESK_LAYOUT, TINY_LAYOUT
@@ -145,17 +148,55 @@ def test_positive_boundary_penalty_rejected(tmp_path):
     expect_error(tmp_path, VALID_LINES + ["boundary_penalty 0.5"], "must be <= 0")
 
 
-def test_nonpositive_scalars_rejected(tmp_path):
-    for bad, fragment in [
-        ("cell_size 0", "cell_size must be positive"),
-        ("altitude -1", "altitude must be positive"),
-        ("carrier_freq 0", "carrier_freq must be positive"),
-        ("bandwidth 0", "bandwidth must be positive"),
-        ("uniform_reward 0", "uniform_reward must be positive"),
-    ]:
-        key = bad.split()[0]
-        lines = [bad if l.startswith(key) else l for l in VALID_LINES]
-        expect_error(tmp_path, lines, fragment)
+def edit(*changes):
+    """VALID_LINES with each change in place of the line of its keyword, or
+    appended when there is none (user lines always are); a bare keyword
+    deletes its line."""
+    lines = list(VALID_LINES)
+    for change in changes:
+        key, *values = change.split()
+        at = next((n for n, line in enumerate(lines) if line.split()[0] == key), None)
+        if not values:
+            del lines[at]
+        elif at is None or key == "user":
+            lines.append(change)
+        else:
+            lines[at] = change
+    return lines
+
+
+@pytest.mark.parametrize(
+    "changes, fragment, line",
+    [
+        pytest.param(["grid 1 3"], "at least 2 cells per side", 1, id="grid n1"),
+        pytest.param(["grid 3 1"], "at least 2 cells per side", 1, id="grid n2"),
+        pytest.param(["cell_size 0"], "cell_size must be positive", 2, id="cell_size"),
+        pytest.param(["altitude -1"], "altitude must be positive", 3, id="altitude"),
+        pytest.param(["carrier_freq 0"], "carrier_freq must be positive", 4, id="carrier_freq"),
+        pytest.param(["bandwidth 0"], "bandwidth must be positive", 5, id="bandwidth"),
+        pytest.param(["start 5 0"], "start cell (5, 0) outside 3x3 grid", 6, id="start outside"),
+        pytest.param(["terminal 3 1"], "terminal cell (3, 1) outside 3x3 grid", 7, id="terminal outside"),
+        pytest.param(["terminal 0 0"], "terminal cell equals start cell", 7, id="start is terminal"),
+        pytest.param(["max_steps 3"], "below start-terminal Manhattan distance 4", 8, id="budget"),
+        pytest.param(["uniform_reward 0"], "uniform_reward must be positive", 9, id="uniform_reward"),
+        pytest.param(["boundary_penalty 0.5"], "boundary_penalty must be <= 0", 10, id="boundary_penalty"),
+        pytest.param(["user 10 20 0 1 2e6"], "user tx_power must be positive", 10, id="user tx_power"),
+        pytest.param(["user 10 20 1 -1 2e6"], "user noise_power must be positive", 10, id="user noise_power"),
+        pytest.param(["user 10 20 1 1 0"], "user bandwidth must be positive", 10, id="user bandwidth"),
+        pytest.param(
+            ["user 10 20 1 1 6e6", "user 30 40 1 1 6e6"], "exceeds total bandwidth", 11, id="bandwidth sum"
+        ),
+        pytest.param(["uniform_reward"], "no user lines and no uniform_reward", None, id="no reward source"),
+    ],
+)
+def test_range_rule_reports_line(tmp_path, changes, fragment, line):
+    """Every range rule of the config dataclasses, reported at the line that
+    supplied the value (None: a rule about the file as a whole)."""
+    msg = expect_error(tmp_path, edit(*changes), fragment)
+    if line is None:
+        assert ", line " not in msg
+    else:
+        assert f"line {line}:" in msg
 
 
 def test_grid_too_small_rejected(tmp_path):
@@ -180,3 +221,31 @@ def test_non_finite_value_reports_line(tmp_path, bad, line):
         lines.append(bad)
     msg = expect_error(tmp_path, lines, "must be finite")
     assert f"line {line}:" in msg
+
+
+@st.composite
+def fuzzed_layouts(draw):
+    """A shipped layout with one token replaced by a drawn string, or with
+    drawn bytes spliced in."""
+    shipped = draw(st.sampled_from([TINY_LAYOUT, DESK_LAYOUT])).read_bytes()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(shipped)))
+        return shipped[:at] + draw(st.binary(min_size=1)) + shipped[at:]
+    lines = shipped.decode().splitlines()
+    n = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[n].split(" ")
+    k = draw(st.integers(0, len(tokens) - 1))
+    tokens[k] = draw(st.one_of(st.text(), st.integers(-10, 10**6).map(str), st.floats().map(repr)))
+    lines[n] = " ".join(tokens)
+    return "\n".join(lines).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_layouts())
+def test_fuzzed_layout_yields_config_or_layout_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_layout.txt"
+    path.write_bytes(data)
+    try:
+        assert isinstance(parse_layout(path), EnvConfig)
+    except LayoutError as err:
+        assert str(path) in str(err)
