@@ -1,5 +1,6 @@
 """Tabular learners: the quantum-inspired agent (collapse selection plus
-multiplicative amplitude-style reinforcement) and two Q-learning baselines."""
+multiplicative amplitude-style reinforcement) and two Q-learning baselines.
+Both the qirl collapse and the Boltzmann softmax draw with quantum.sample_index."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .gridworld import N_ACTIONS, GridWorld, StepOutcome
+from .quantum import sample_index
 
 ROW_SUM_TOL = 1e-6
 MIN_TEMPERATURE = 1e-12
@@ -101,37 +103,23 @@ def q_table(n_states: int) -> np.ndarray:
 
 
 def qirl_select(prefs: np.ndarray, state: int, rng: np.random.Generator) -> int:
-    """Collapse the state's action distribution; one uniform consumed.
-
-    Inlined four-way inverse-CDF walk, arithmetic-identical to
-    quantum.sample_index (same running sums, same right-bisection rule) but
-    without the small-array overhead; this sits on the innermost loop.
-    """
-    p0, p1, p2, p3 = prefs[state].tolist()
-    if abs(p0 + p1 + p2 + p3 - 1.0) > ROW_SUM_TOL:
+    """Collapse the state's action distribution through quantum.sample_index;
+    one uniform consumed."""
+    row = prefs[state].tolist()
+    if abs(row[0] + row[1] + row[2] + row[3] - 1.0) > ROW_SUM_TOL:
         raise ValueError(f"preference row for state {state} does not sum to 1")
-    u = rng.random()
-    c = p0
-    if u < c:
-        return 0
-    c += p1
-    if u < c:
-        return 1
-    c += p2
-    if u < c:
-        return 2
-    return 3
+    return sample_index(row, rng)
 
 
-def _apply_floor(row: np.ndarray, floor: float) -> None:
-    """Lift entries to at least `floor`, renormalizing the unfloored mass.
+def _apply_floor(p: list[float], floor: float) -> None:
+    """Lift entries of the row list `p` (an ndarray row works too) to at least
+    `floor` in place, renormalizing the unfloored mass.
 
     Iterative so the scaled entries cannot dip back under the floor; ends with
     an exact clamp, leaving the row sum within a few ulps of 1.
     """
     if floor <= 0.0:
         return
-    p = row.tolist()
     n = len(p)
     floored = [v < floor for v in p]
     for _ in range(n):
@@ -149,7 +137,7 @@ def _apply_floor(row: np.ndarray, floor: float) -> None:
         if not newly:
             for i in range(n):
                 v = floor if floored[i] else p[i] * scale
-                row[i] = v if v > floor else floor
+                p[i] = v if v > floor else floor
             return
 
 
@@ -171,7 +159,8 @@ def qirl_update(
     exp(clamp(k * (reward + V(next_state)) / reward_scale)) reads the value
     table after the write (it differs only on rebounds, where next == state);
     k is k_minus when the move rebounded or the TD error is negative, else
-    k_plus. The row is then renormalized and floored.
+    k_plus. The row is read once as a list, renormalized, floored and written
+    back once.
 
     cut marks the final transition of a budget-truncated episode: the TD
     target bootstraps 0 then (as on terminal entry, whose V never leaves 0),
@@ -195,15 +184,12 @@ def qirl_update(
     k = cfg.k_minus if (boundary_hit or delta < 0.0) else cfg.k_plus
     exponent = k * (reward + v_next) / cfg.reward_scale
     exponent = min(max(exponent, -cfg.exponent_clamp), cfg.exponent_clamp)
-    row = prefs[state]
-    p = row.tolist()
+    p = prefs[state].tolist()
     p[action] *= math.exp(exponent)
     total = p[0] + p[1] + p[2] + p[3]
-    row[0] = p[0] / total
-    row[1] = p[1] / total
-    row[2] = p[2] / total
-    row[3] = p[3] / total
-    _apply_floor(row, cfg.p_floor)
+    p = [p[0] / total, p[1] / total, p[2] / total, p[3] / total]
+    _apply_floor(p, cfg.p_floor)
+    prefs[state] = p
 
 
 def ql_select(
@@ -216,8 +202,9 @@ def ql_select(
     """Exploratory action choice for the baselines.
 
     epsilon-greedy consumes two uniforms per call (branch, then action or
-    tie-break); Boltzmann consumes one. Softmax subtracts the row max before
-    exponentiating, so extreme Q values cannot overflow.
+    tie-break); Boltzmann consumes one, in quantum.sample_index. Softmax
+    subtracts the row max before exponentiating, so extreme Q values cannot
+    overflow.
     """
     value = schedule.value(episode)
     row = q[state].tolist()
@@ -235,17 +222,7 @@ def ql_select(
     top = max(z)
     w0, w1, w2, w3 = (math.exp(v - top) for v in z)
     total = w0 + w1 + w2 + w3
-    u = rng.random()
-    c = w0 / total
-    if u < c:
-        return 0
-    c += w1 / total
-    if u < c:
-        return 1
-    c += w2 / total
-    if u < c:
-        return 2
-    return 3
+    return sample_index((w0 / total, w1 / total, w2 / total, w3 / total), rng)
 
 
 def ql_update(

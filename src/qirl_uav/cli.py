@@ -8,6 +8,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -137,24 +139,35 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)  # JSON true/false are no numbers
+
+
+def _is_seed_entry(key: str, entry) -> bool:
+    return bool(re.fullmatch(r"-?[0-9]+", key)) and isinstance(entry, dict) and _is_finite_number(entry.get("greedy_return"))
+
+
 def _cmd_metrics(args) -> int:
     run_dir = Path(args.run_dir)
     episodes_path = run_dir / "episodes.csv"
     summary_path = run_dir / "summary.json"
     if not episodes_path.is_file() or not summary_path.is_file():
         raise _CliError(f"{run_dir} does not contain episodes.csv and summary.json")
-    with open(summary_path) as fh:
-        summary = json.load(fh)
-    for key in ("seeds", "oracle_return"):
-        if not isinstance(summary, dict) or key not in summary:
-            raise _CliError(f"{summary_path} has no {key!r}")
-    rows = read_episodes_csv(episodes_path)
+    summary = json.loads(summary_path.read_text())
+    summary = summary if isinstance(summary, dict) else {}
+    oracle_return, seeds = summary.get("oracle_return"), summary.get("seeds")
+    if not (_is_finite_number(oracle_return) and oracle_return != 0):
+        raise _CliError(f"{summary_path}: 'oracle_return' must be a finite non-zero number")
+    if not (isinstance(seeds, dict) and seeds and all(_is_seed_entry(k, v) for k, v in seeds.items())):
+        raise _CliError(f"{summary_path}: 'seeds' must map integer seeds to entries with a numeric 'greedy_return'")
+    logs_by_seed: dict[int, list] = {}
+    for seed, log in read_episodes_csv(episodes_path):
+        logs_by_seed.setdefault(seed, []).append(log)
 
     print("seed,episodes_to_90pct,final_return_mean,oracle_gap")
-    for seed_key in sorted(summary["seeds"], key=int):
+    for seed_key in sorted(seeds, key=int):
         seed = int(seed_key)
-        logs = [log for s, log in rows if s == seed]
-        metric = convergence_metrics(logs, summary["oracle_return"], summary["seeds"][seed_key]["greedy_return"])
+        metric = convergence_metrics(logs_by_seed.get(seed, []), oracle_return, seeds[seed_key]["greedy_return"])
         print(
             f"{seed},{metric.episodes_to_90pct},"
             f"{'' if metric.final_return_mean is None else repr(metric.final_return_mean)},"

@@ -64,12 +64,23 @@ class RunConfig:
     output_dir: str
     alpha: float = 0.1
     gamma: float = 1.0  # baselines only; the qirl agent is pinned at 1
-    qirl: QiRLConfig | None = None  # None: defaults, reward_scale = terminal bonus
-    schedule: ExplorationSchedule | None = None  # None: agent-kind default
+    qirl: QiRLConfig | None = None  # qirl only; None: QiRLConfig(alpha=alpha)
+    schedule: ExplorationSchedule | None = None  # baselines only; None: agent-kind default
 
     def __post_init__(self):
         if self.agent not in AGENT_KINDS:
             raise ValueError(f"agent must be one of {AGENT_KINDS}, got {self.agent!r}")
+        # a knob this agent kind would ignore is refused, so the hash covers exactly what trains
+        if self.agent == "qirl":
+            self.qirl = self.qirl or QiRLConfig(alpha=self.alpha)
+            ignored = {"a schedule": self.schedule, "gamma != 1": self.gamma != 1.0}
+            ignored["qirl.alpha != alpha"] = self.qirl.alpha != self.alpha
+        else:
+            kind = "epsilon_greedy" if self.agent == "ql_eps" else "boltzmann"
+            ignored = {"a qirl config": self.qirl, "a schedule of another kind": self.schedule and self.schedule.kind != kind}
+        for knob, given in ignored.items():
+            if given:
+                raise ValueError(f"agent {self.agent!r} does not take {knob}")
         if self.episodes < 1:
             raise ValueError("episodes must be at least 1")
         if not self.seeds:
@@ -84,14 +95,11 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def make_agent(config: RunConfig, env: GridWorld):
     if config.agent == "qirl":
-        qirl_cfg = config.qirl if config.qirl is not None else QiRLConfig(alpha=config.alpha)
-        return QiRLAgent(env, qirl_cfg)
-    if config.schedule is not None:
-        schedule = config.schedule
-    elif config.agent == "ql_eps":
-        schedule = default_epsilon_schedule()
-    else:
-        schedule = default_boltzmann_schedule(env.terminal_bonus)
+        return QiRLAgent(env, config.qirl)
+    schedule = config.schedule
+    if schedule is None:
+        is_eps = config.agent == "ql_eps"
+        schedule = default_epsilon_schedule() if is_eps else default_boltzmann_schedule(env.terminal_bonus)
     return QLearningAgent(env, schedule, alpha=config.alpha, gamma=config.gamma)
 
 
@@ -247,6 +255,8 @@ def run(config: RunConfig) -> dict[str, Path]:
     """
     env_path = Path(config.env_file)
     env = build(parse_layout(env_path))
+    if env.terminal_bonus == 0.0:  # qirl and Boltzmann scale by it, oracle_gap divides by the optimum
+        raise ValueError(f"every cell of {env_path} pays 0, so the terminal bonus is 0: nothing to learn")
     oracle = dp_optimal(env)
 
     episode_rows: list[tuple[int, EpisodeLog]] = []

@@ -66,15 +66,23 @@ def _check_outcome(index: int) -> None:
         raise ValueError(f"outcome index {index} outside 0..{N_OUTCOMES - 1}")
 
 
-def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw over a probability vector.
-
-    Consumes exactly one uniform from rng, so callers can account for the
-    draw stream precisely. Zero-probability entries are never returned.
-    """
-    edges = np.cumsum(probs)
-    idx = int(np.searchsorted(edges, rng.random(), side="right"))
-    return min(idx, len(probs) - 1)
+def sample_index(probs, rng: np.random.Generator) -> int:
+    """Collapse sampler of both learners: over any 4-sequence of outcome
+    probabilities, the first index whose running sum exceeds one uniform
+    from rng, else 3. Exactly one uniform per call, so callers can account
+    for the draw stream; zero-probability entries are never returned."""
+    p0, p1, p2, _ = probs
+    u = rng.random()
+    c = p0
+    if u < c:
+        return 0
+    c += p1
+    if u < c:
+        return 1
+    c += p2
+    if u < c:
+        return 2
+    return 3
 
 
 def collapse(reg: AmplitudeRegister, rng: np.random.Generator) -> int:

@@ -3,9 +3,10 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from qirl_uav.channel import CarrierConfig, GroundUser, Position3
-from qirl_uav.gridworld import EnvConfig, GridSpec, GridWorld, build
+from qirl_uav.gridworld import EnvConfig, GridSpec, GridWorld, build, manhattan
 from qirl_uav.layout import parse_layout
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +73,25 @@ def make_channel_env(
             boundary_penalty=boundary_penalty,
         )
     )
+
+
+@st.composite
+def small_channel_envs(draw, max_budget: int | None = None):
+    """Channel grids of at most 16 cells (small enough to enumerate) with 1-3
+    users and a non-zero rebound penalty. The step budget is the
+    start-terminal Manhattan distance, or drawn from it up to max_budget."""
+    n1 = draw(st.integers(2, 8))
+    n2 = draw(st.integers(2, 16 // n1))
+    start, terminal = draw(
+        st.lists(st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1)), min_size=2, max_size=2, unique=True)
+    )
+    users = draw(
+        st.lists(st.tuples(st.floats(0.0, 20.0 * n1), st.floats(0.0, 20.0 * n2)), min_size=1, max_size=3)
+    )
+    penalty = draw(st.floats(-5.0, -1e-3))
+    distance = manhattan(start, terminal)
+    budget = distance if max_budget is None else draw(st.integers(distance, max_budget))
+    return make_channel_env(n1, n2, users, budget, start, terminal, penalty)
 
 
 @pytest.fixture

@@ -377,13 +377,18 @@ def test_floor_keeps_rows_probability_shaped():
 
 def test_floor_cascade_when_scaling_pushes_second_entry_under():
     # flooring the first entry rescales the rest; that nudge sends the second
-    # entry under the floor too, which takes a second flooring pass
-    row = np.array([0.005, 0.01004, 0.48496, 0.5])
-    _apply_floor(row, 0.01)
-    assert row[0] == 0.01
-    assert row[1] == 0.01
-    assert row.min() >= 0.01
-    assert row.sum() == pytest.approx(1.0, abs=1e-9)
+    # entry under the floor too, which takes a second flooring pass; the
+    # update passes a list, and an ndarray row is lifted the same way
+    lifted = []
+    for make_row in (np.array, list):
+        row = make_row([0.005, 0.01004, 0.48496, 0.5])
+        _apply_floor(row, 0.01)
+        assert row[0] == 0.01
+        assert row[1] == 0.01
+        assert min(row) >= 0.01
+        assert math.fsum(row) == pytest.approx(1.0, abs=1e-9)
+        lifted.append(list(row))
+    assert lifted[0] == lifted[1]
 
 
 def test_without_floor_preferences_may_vanish():

@@ -186,6 +186,45 @@ def test_metrics_on_summary_without_key_is_config_error(tmp_path, capsys, key):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "summary, key",
+    [
+        ({"seeds": {"0": {}}, "oracle_return": 1.0}, "seeds"),
+        ({"seeds": {"0": {"greedy_return": True}}, "oracle_return": 1.0}, "seeds"),
+        ({"seeds": {"x": {"greedy_return": 1.0}}, "oracle_return": 1.0}, "seeds"),
+        ({"seeds": {"0": []}, "oracle_return": 1.0}, "seeds"),
+        ({"seeds": [], "oracle_return": 1.0}, "seeds"),
+        ({"seeds": {"0": {"greedy_return": 1.0}}, "oracle_return": 0.0}, "oracle_return"),
+        ({"seeds": {"0": {"greedy_return": 1.0}}, "oracle_return": float("nan")}, "oracle_return"),
+        ({"seeds": [], "oracle_return": "x"}, "oracle_return"),
+        ([], "oracle_return"),
+    ],
+)
+def test_metrics_on_malformed_summary_is_config_error(tmp_path, capsys, summary, key):
+    (tmp_path / "episodes.csv").write_text("seed,episode,return,steps,reached_terminal\n")
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    assert run_cli("metrics", "--in", str(tmp_path)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert repr(key) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("agent", ["qirl", "ql_eps", "ql_boltz"])
+def test_run_on_a_field_that_pays_nothing_is_config_error(tmp_path, capsys, agent):
+    """Every cell rate underflows to 0, so the terminal bonus, which scales
+    the learners, and the planner optimum, which oracle_gap divides by, are 0."""
+    layout = tmp_path / "far.txt"
+    layout.write_text(TINY_LAYOUT.read_text().replace("uniform_reward 1.0", "user 1e200 0 1 1 1e6"))
+    out = tmp_path / "x"
+    code = run_cli(
+        "run", "--config", str(layout), "--agent", agent,
+        "--episodes", "5", "--seeds", "0", "--out", str(out),
+    )
+    assert code == EXIT_CONFIG
+    assert "every cell of" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_on_a_user_beyond_double_path_loss_range(tmp_path, capsys):
     layout = tmp_path / "far.txt"
     layout.write_text(TINY_LAYOUT.read_text().replace("uniform_reward 1.0", "user 1e200 0 1 1 1e6"))

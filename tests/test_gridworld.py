@@ -6,7 +6,6 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qirl_uav.channel import CarrierConfig, GroundUser, Position3
 from qirl_uav.gridworld import (
@@ -20,7 +19,7 @@ from qirl_uav.gridworld import (
 )
 from qirl_uav.layout import parse_layout
 
-from conftest import DESK_LAYOUT, TINY_LAYOUT, make_channel_env, make_uniform_env
+from conftest import DESK_LAYOUT, TINY_LAYOUT, make_channel_env, make_uniform_env, small_channel_envs
 
 
 def test_action_deltas_match_enum_semantics():
@@ -166,20 +165,6 @@ def test_transition_table_matches_geometry_on_shipped_layouts(layout, penalty):
     if penalty is not None:
         config = dataclasses.replace(config, boundary_penalty=penalty)
     assert_table_matches_geometry(build(config))
-
-
-@st.composite
-def small_channel_envs(draw):
-    n1 = draw(st.integers(2, 8))
-    n2 = draw(st.integers(2, 16 // n1))
-    start, terminal = draw(
-        st.lists(st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1)), min_size=2, max_size=2, unique=True)
-    )
-    users = draw(
-        st.lists(st.tuples(st.floats(0.0, 20.0 * n1), st.floats(0.0, 20.0 * n2)), min_size=1, max_size=3)
-    )
-    penalty = draw(st.floats(-5.0, -1e-3))
-    return make_channel_env(n1, n2, users, manhattan(start, terminal), start, terminal, penalty)
 
 
 @settings(max_examples=60, deadline=None)

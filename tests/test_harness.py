@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qirl_uav.agents import QiRLAgent, default_epsilon_schedule
+from qirl_uav.agents import QiRLAgent, QiRLConfig, default_boltzmann_schedule, default_epsilon_schedule
 from qirl_uav.harness import (
     WINDOW,
     ConvergenceMetric,
@@ -124,6 +124,30 @@ def test_make_agent_dispatch(tiny_env):
     assert boltz.schedule.initial == tiny_env.terminal_bonus
     override = tiny_config("/tmp", agent="ql_eps", schedule=default_epsilon_schedule())
     assert make_agent(override, tiny_env).schedule is override.schedule
+
+
+@pytest.mark.parametrize(
+    "agent, knobs",
+    [
+        ("ql_eps", {"schedule": default_boltzmann_schedule(10.0)}),
+        ("ql_boltz", {"schedule": default_epsilon_schedule()}),
+        ("ql_eps", {"qirl": QiRLConfig()}),
+        ("qirl", {"schedule": default_epsilon_schedule()}),
+        ("qirl", {"gamma": 0.9}),
+        ("qirl", {"alpha": 0.5, "qirl": QiRLConfig()}),
+    ],
+    ids=["eps-boltz-schedule", "boltz-eps-schedule", "eps-qirl-config", "qirl-schedule", "qirl-gamma", "qirl-alpha"],
+)
+def test_run_config_rejects_knobs_its_agent_ignores(tmp_path, agent, knobs):
+    with pytest.raises(ValueError, match=f"agent '{agent}' does not take"):
+        tiny_config(tmp_path, agent=agent, **knobs)
+
+
+def test_default_qirl_config_has_one_hash(tmp_path):
+    implicit = tiny_config(tmp_path, alpha=0.5)
+    explicit = tiny_config(tmp_path, alpha=0.5, qirl=QiRLConfig(alpha=0.5))
+    assert implicit.qirl == explicit.qirl
+    assert config_hash(implicit, b"layout") == config_hash(explicit, b"layout")
 
 
 def test_run_config_validation(tmp_path):

@@ -3,10 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from qirl_uav.oracle import MAX_ENUM_DEPTH, MAX_ENUM_STATES, dp_optimal, enumerate_paths
 
-from conftest import make_channel_env, make_uniform_env
+from conftest import make_channel_env, make_uniform_env, small_channel_envs
 
 # Instances small enough to enumerate: the two planners must agree exactly.
 BATTERY = [
@@ -28,6 +29,19 @@ def test_planners_agree_exactly_on_enumerable_instances(env):
     assert dp.reaches_terminal
     assert brute_path[0] == env.start_state
     assert brute_path[-1] == env.terminal_state
+
+
+# an example at depth 12 walks up to 4^12 action sequences, 4-17 s, hence few examples
+@settings(max_examples=5, deadline=None)
+@given(small_channel_envs(max_budget=MAX_ENUM_DEPTH))
+def test_dp_matches_enumeration_on_drawn_grids(env):
+    """DP maximizes over every path, enumeration only over terminal-reaching
+    ones: DP is never below, and equal once its own path reaches the terminal."""
+    dp = dp_optimal(env)
+    brute_return, _ = enumerate_paths(env, env.max_steps)
+    assert dp.optimal_return >= brute_return
+    if dp.reaches_terminal:
+        assert dp.optimal_return == pytest.approx(brute_return, rel=1e-12)
 
 
 def test_three_by_three_uniform_optimum_is_thirteen():

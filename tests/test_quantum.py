@@ -57,8 +57,9 @@ def test_collapse_rejects_unnormalized_register():
 
 def test_sample_index_degenerate_distributions():
     rng = np.random.Generator(np.random.Philox(1))
-    assert all(sample_index(np.array([1.0, 0, 0, 0]), rng) == 0 for _ in range(20))
-    assert all(sample_index(np.array([0, 0, 0, 1.0]), rng) == 3 for _ in range(20))
+    for make_probs in (np.array, list, tuple):  # any 4-sequence
+        assert all(sample_index(make_probs([1.0, 0, 0, 0]), rng) == 0 for _ in range(20))
+        assert all(sample_index(make_probs([0, 0, 0, 1.0]), rng) == 3 for _ in range(20))
 
 
 def test_sample_index_never_returns_zero_probability_outcome():
