@@ -96,10 +96,12 @@ def make_rng(seed: int) -> np.random.Generator:
 def make_agent(config: RunConfig, env: GridWorld):
     if config.agent == "qirl":
         return QiRLAgent(env, config.qirl)
-    schedule = config.schedule
-    if schedule is None:
-        is_eps = config.agent == "ql_eps"
-        schedule = default_epsilon_schedule() if is_eps else default_boltzmann_schedule(env.terminal_bonus)
+    if config.schedule is not None:
+        schedule = config.schedule
+    elif config.agent == "ql_eps":
+        schedule = default_epsilon_schedule()
+    else:
+        schedule = default_boltzmann_schedule(env.terminal_bonus)
     return QLearningAgent(env, schedule, alpha=config.alpha, gamma=config.gamma)
 
 
