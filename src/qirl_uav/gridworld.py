@@ -12,6 +12,10 @@ from .channel import CarrierConfig, GroundUser, Position3, sum_rate
 
 TERMINAL_BONUS_FACTOR = 10.0
 
+# Largest step budget x cell count the exact planner takes: its policy holds one
+# byte per (step, cell), so this caps that table at 128 MiB.
+MAX_PLAN_CELLS = 2**27
+
 
 class Action(IntEnum):
     """Motion on the cell grid. Forward/backward move along +y/-y (index j),
@@ -95,6 +99,9 @@ class EnvConfig:
         distance = manhattan(self.start_cell, self.terminal_cell)
         if self.max_steps < distance:
             message = f"max_steps {self.max_steps} below start-terminal Manhattan distance {distance}"
+            raise FieldError("max_steps", message)
+        if self.max_steps * n1 * n2 > MAX_PLAN_CELLS:
+            message = f"max_steps {self.max_steps} x {n1 * n2} cells exceeds the planner cap of {MAX_PLAN_CELLS} cells"
             raise FieldError("max_steps", message)
         if self.boundary_penalty > 0.0:
             raise FieldError("boundary_penalty", "boundary_penalty must be <= 0")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridworld import N_ACTIONS, GridWorld, manhattan
+from .gridworld import MAX_PLAN_CELLS, N_ACTIONS, GridWorld, manhattan
 
 MAX_ENUM_STATES = 16
 MAX_ENUM_DEPTH = 12
@@ -26,39 +26,49 @@ class DPResult:
 def dp_optimal(env: GridWorld, horizon: int | None = None) -> DPResult:
     """Maximum achievable episode return by backward induction.
 
-    best[t][s] is the largest return collectable from s with t steps left;
-    the terminal state is absorbing at 0 once its entry bonus has been paid,
-    and rebounds are modeled like any other transition. Both come from
-    `env.transitions`, the table `env.step` reads. With gamma = 1 the
-    horizon index is what makes the recursion exact. The optimal path is
-    replayed forward, ties broken by fixed action order; the reported return
-    is the forward sum along that path, so it is bit-identical to what a
-    brute-force enumerator accumulates for the same path (the backward table
-    associates the same additions in the opposite order, which can differ in
-    the last ulp).
+    The value of s with t steps left is the largest reward + value of the
+    next state with t - 1 steps left over the four moves; the terminal state
+    is absorbing at 0 once its entry bonus has been paid, and rebounds are
+    modeled like any other transition. Both come from `env.transitions`, the
+    table `env.step` reads. With gamma = 1 the horizon index is what makes
+    the recursion exact. Only the current value row is kept; each step's
+    decision rule goes into a uint8 policy of horizon x n_states bytes, with
+    ties going to the first maximum in fixed action order (`np.argmax`).
+    The optimal path is replayed forward from that policy; the reported
+    return is the forward sum along that path, so it is bit-identical to
+    what a brute-force enumerator accumulates for the same path (backward
+    induction associates the same additions in the opposite order, which
+    can differ in the last ulp).
 
     horizon defaults to the environment's step budget; pass a smaller value
     to probe returns under tighter budgets (EnvConfig itself never admits a
-    budget below the start-terminal Manhattan distance).
+    budget below the start-terminal Manhattan distance). A horizon whose
+    policy would exceed MAX_PLAN_CELLS bytes (128 MiB) raises ValueError,
+    as EnvConfig does for such a step budget.
     """
     h = env.max_steps if horizon is None else horizon
     if h < 0:
         raise ValueError("horizon must be non-negative")
+    if h * env.n_states > MAX_PLAN_CELLS:
+        raise ValueError(f"horizon {h} x {env.n_states} cells exceeds the planner cap of {MAX_PLAN_CELLS} cells")
     nxt = np.array([[out.next_state for out in row] for row in env.transitions])
     rew = np.array([[out.reward for out in row] for row in env.transitions], dtype=float)
-    best = np.zeros((h + 1, env.n_states))
-    for t in range(1, h + 1):
-        candidates = rew + best[t - 1][nxt]
-        best[t] = candidates.max(axis=1)
-        best[t, env.terminal_state] = 0.0
+    row_starts = np.arange(env.n_states) * N_ACTIONS  # each state's first entry in candidates.ravel()
+    policy = np.empty((h, env.n_states), np.uint8)  # policy[t - 1][s]: the move from s with t steps left
+    best = np.zeros(env.n_states)
+    for t in range(h):
+        candidates = rew + best[nxt]
+        choice = candidates.argmax(axis=1)
+        policy[t] = choice
+        best = candidates.ravel()[row_starts + choice]
+        best[env.terminal_state] = 0.0
 
     path = [env.start_state]
     s = env.start_state
     total = 0.0
     t = h
     while t > 0 and s != env.terminal_state:
-        values = rew[s] + best[t - 1][nxt[s]]
-        a = int(np.argmax(values))
+        a = int(policy[t - 1, s])
         total += float(rew[s, a])
         s = int(nxt[s, a])
         path.append(s)
@@ -76,10 +86,11 @@ def dp_optimal(env: GridWorld, horizon: int | None = None) -> DPResult:
 def enumerate_paths(env: GridWorld, max_len: int) -> tuple[float, tuple[int, ...]]:
     """Brute-force the best terminal-reaching path of at most max_len steps.
 
-    Walks every action sequence (branches stop at the terminal cell), so it
-    is exponential in max_len and refuses anything beyond 16 cells or depth
-    12. Returns (best return, state path); (-inf, ()) if no sequence reaches
-    the terminal cell.
+    Walks every action sequence through `env.transitions`; branches stop at
+    the terminal cell, so its absorbing row is never read. The walk is
+    exponential in max_len and refuses anything beyond 16 cells or depth 12.
+    Returns (best return, state path); (-inf, ()) if no sequence reaches the
+    terminal cell.
     """
     if env.n_states > MAX_ENUM_STATES or max_len > MAX_ENUM_DEPTH:
         raise ValueError(
@@ -92,13 +103,13 @@ def enumerate_paths(env: GridWorld, max_len: int) -> tuple[float, tuple[int, ...
     best_return = -math.inf
     best_path: tuple[int, ...] = ()
     path = [env.start_state]
+    table = env.transitions
 
     def walk(s: int, steps_left: int, acc: float) -> None:
         nonlocal best_return, best_path
         if steps_left == 0:
             return
-        for a in range(N_ACTIONS):
-            out = env.step(s, a)
+        for out in table[s]:
             if out.terminal:
                 if acc + out.reward > best_return:
                     best_return = acc + out.reward

@@ -225,6 +225,19 @@ def test_run_on_a_field_that_pays_nothing_is_config_error(tmp_path, capsys, agen
     assert not out.exists()
 
 
+def test_step_budget_beyond_the_planner_cap_is_config_error(tmp_path, capsys):
+    """Refused before the planner allocates or loops: a policy of that size
+    would take about 18 GB and two billion steps. Run in-process, so any
+    exception other than the handled config error fails the test."""
+    assert run_cli("oracle", "--config", TINY, "--horizon", "2000000000") == EXIT_CONFIG
+    assert "horizon 2000000000 x 9 cells exceeds the planner cap" in capsys.readouterr().err
+    layout = tmp_path / "long.txt"
+    layout.write_text(TINY_LAYOUT.read_text().replace("max_steps 4", "max_steps 2000000000"))
+    assert run_cli("oracle", "--config", str(layout)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "line 10:" in err and "exceeds the planner cap" in err  # the max_steps line
+
+
 def test_oracle_on_a_user_beyond_double_path_loss_range(tmp_path, capsys):
     layout = tmp_path / "far.txt"
     layout.write_text(TINY_LAYOUT.read_text().replace("uniform_reward 1.0", "user 1e200 0 1 1 1e6"))

@@ -178,6 +178,7 @@ def edit(*changes):
         pytest.param(["terminal 3 1"], "terminal cell (3, 1) outside 3x3 grid", 7, id="terminal outside"),
         pytest.param(["terminal 0 0"], "terminal cell equals start cell", 7, id="start is terminal"),
         pytest.param(["max_steps 3"], "below start-terminal Manhattan distance 4", 8, id="budget"),
+        pytest.param(["max_steps 2000000000"], "exceeds the planner cap", 8, id="planner cap"),
         pytest.param(["uniform_reward 0"], "uniform_reward must be positive", 9, id="uniform_reward"),
         pytest.param(["boundary_penalty 0.5"], "boundary_penalty must be <= 0", 10, id="boundary_penalty"),
         pytest.param(["user 10 20 0 1 2e6"], "user tx_power must be positive", 10, id="user tx_power"),

@@ -1,10 +1,14 @@
 """Backward-induction planner vs exhaustive enumeration, plus guard rails."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qirl_uav.gridworld import manhattan
 from qirl_uav.oracle import MAX_ENUM_DEPTH, MAX_ENUM_STATES, dp_optimal, enumerate_paths
 
 from conftest import make_channel_env, make_uniform_env, small_channel_envs
@@ -31,7 +35,7 @@ def test_planners_agree_exactly_on_enumerable_instances(env):
     assert brute_path[-1] == env.terminal_state
 
 
-# an example at depth 12 walks up to 4^12 action sequences, 4-17 s, hence few examples
+# an example at depth 12 walks up to 4^12 action sequences, 0.5-2.5 s on a 2-core VM, hence few examples
 @settings(max_examples=5, deadline=None)
 @given(small_channel_envs(max_budget=MAX_ENUM_DEPTH))
 def test_dp_matches_enumeration_on_drawn_grids(env):
@@ -102,6 +106,8 @@ def test_horizon_override_models_tighter_budgets():
     assert zero.optimal_path == (env.start_state,)
     with pytest.raises(ValueError):
         dp_optimal(env, horizon=-1)
+    with pytest.raises(ValueError, match="planner cap"):
+        dp_optimal(env, horizon=2_000_000_000)
 
 
 def test_enumeration_reports_unreachable_terminal():
@@ -140,3 +146,60 @@ def test_desk_scale_oracle_regression(desk_env):
     assert dp.optimal_return == pytest.approx(177.22695941100858, rel=1e-9)
     assert dp.reaches_terminal
     assert dp.horizon_used == desk_env.max_steps  # uses the whole budget
+
+
+def full_table_dp(env, h):
+    """Reference: backward induction over the whole (h+1) x S value table,
+    the path replayed by re-deriving each move from it."""
+    nxt = np.array([[out.next_state for out in row] for row in env.transitions])
+    rew = np.array([[out.reward for out in row] for row in env.transitions])
+    best = np.zeros((h + 1, env.n_states))
+    for t in range(1, h + 1):
+        best[t] = (rew + best[t - 1][nxt]).max(axis=1)
+        best[t, env.terminal_state] = 0.0
+    path, total = [env.start_state], 0.0
+    for t in range(h, 0, -1):
+        if (s := path[-1]) == env.terminal_state:
+            break
+        a = int(np.argmax(rew[s] + best[t - 1][nxt[s]]))
+        total += float(rew[s, a])
+        path.append(int(nxt[s, a]))
+    return total, tuple(path)
+
+
+@st.composite
+def uniform_envs(draw):
+    """Constant-reward grids, where most moves tie, with or without a rebound penalty."""
+    n1, n2 = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    start, terminal = draw(
+        st.lists(st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1)), min_size=2, max_size=2, unique=True)
+    )
+    reward = draw(st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+    penalty = draw(st.one_of(st.just(0.0), st.floats(-5.0, -1e-3)))
+    return make_uniform_env(n1, n2, reward, manhattan(start, terminal), start, terminal, penalty)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_channel_envs(), uniform_envs()), st.data())
+def test_dp_matches_the_full_table_reference_bit_for_bit(env, data):
+    distance = manhattan(env.config.start_cell, env.config.terminal_cell)
+    h = data.draw(st.one_of(st.just(0), st.integers(0, distance - 1), st.integers(distance, distance + 25)))
+    dp = dp_optimal(env, horizon=h)
+    total, path = full_table_dp(env, h)
+    assert repr(dp.optimal_return) == repr(total)
+    assert dp.optimal_path == path
+    assert dp.horizon_used == len(path) - 1
+    assert dp.reaches_terminal == (path[-1] == env.terminal_state)
+    assert dp.terminal_reachable == (distance <= h)
+
+
+def test_planner_memory_stays_under_a_quarter_of_the_full_table():
+    env = make_uniform_env(n1=64, n2=64, max_steps=2000)
+    full_table_bytes = (env.max_steps + 1) * env.n_states * 8
+    tracemalloc.start()
+    try:
+        dp_optimal(env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_table_bytes / 4
