@@ -18,7 +18,8 @@ MIN_TEMPERATURE = 1e-12
 
 @dataclass
 class QiRLConfig:
-    """Hyperparameters for the quantum-inspired agent.
+    """Hyperparameters for the quantum-inspired agent. The learner is
+    episodic and undiscounted, so there is no gamma to set.
 
     reward_scale divides the reinforcement exponent k*(r + V(s')); None means
     "use the environment's terminal bonus", resolved at agent construction.
@@ -27,7 +28,6 @@ class QiRLConfig:
     """
 
     alpha: float = 0.1
-    gamma: float = 1.0  # fixed: episodic, undiscounted
     k_plus: float = 1.0
     k_minus: float = -1.0
     reward_scale: float | None = None
@@ -38,8 +38,6 @@ class QiRLConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.gamma != 1.0:
-            raise ValueError("gamma is fixed at 1")
         if self.k_plus <= 0.0:
             raise ValueError("k_plus must be positive")
         if self.k_minus >= 0.0:
@@ -153,7 +151,8 @@ def qirl_update(
     update_count: int = 0,
     cut: bool = False,
 ) -> None:
-    """One TD(0) value step plus one multiplicative preference step, in place.
+    """One undiscounted TD(0) value step plus one multiplicative preference
+    step, in place.
 
     The TD error is computed before the value write. The reinforcement factor
     exp(clamp(k * (reward + V(next_state)) / reward_scale)) reads the value
@@ -177,7 +176,7 @@ def qirl_update(
     alpha = cfg.alpha_at(update_count)
     v_state = float(values[state])
     v_next = float(values[next_state])
-    delta = reward + (0.0 if cut else cfg.gamma * v_next) - v_state
+    delta = reward + (0.0 if cut else v_next) - v_state
     values[state] = v_state + alpha * delta
     if next_state == state:  # rebound: the factor reads the value just written
         v_next = v_state + alpha * delta

@@ -6,14 +6,13 @@ summary.json and episodes.csv of a run directory. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
 import sys
 from pathlib import Path
 
-from .agents import QiRLConfig, default_boltzmann_schedule, default_epsilon_schedule
+from .agents import QiRLConfig
 from .gridworld import build
 from .harness import AGENT_KINDS, RunConfig, convergence_metrics, read_episodes_csv, run
 from .layout import LayoutError, parse_layout
@@ -94,26 +93,14 @@ def _cmd_run(args) -> int:
     if foreign:
         flag = "--" + next(iter(foreign)).replace("_", "-")
         raise _CliError(f"{flag} does not apply to --agent {args.agent}")
-    qirl_cfg = schedule = None
-    if is_qirl:
-        qirl_cfg = QiRLConfig(**_given(args, ("alpha",) + _QIRL_KNOBS))
-    else:
-        overrides = {name.removeprefix("explore_"): value for name, value in _given(args, _EXPLORE_KNOBS).items()}
-        if overrides:
-            if args.agent == "ql_eps":
-                default = default_epsilon_schedule()
-            else:
-                default = default_boltzmann_schedule(build(parse_layout(args.config)).terminal_bonus)
-            schedule = dataclasses.replace(default, **overrides)
-
     config = RunConfig(
         env_file=args.config,
         agent=args.agent,
         episodes=args.episodes,
         seeds=_parse_seeds(args.seeds),
         output_dir=args.out,
-        qirl=qirl_cfg,
-        schedule=schedule,
+        qirl=QiRLConfig(**_given(args, ("alpha",) + _QIRL_KNOBS)) if is_qirl else None,
+        explore={name.removeprefix("explore_"): value for name, value in _given(args, _EXPLORE_KNOBS).items()},
         **_given(args, ("alpha", "gamma")),
     )
     paths = run(config)

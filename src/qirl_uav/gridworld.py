@@ -46,12 +46,12 @@ class FieldError(ValueError):
 @dataclass(frozen=True)
 class GridSpec:
     """Grid geometry: n1 x n2 cells of cell_size meters, flown at a fixed
-    altitude. origin is the center of cell (0, 0)."""
+    altitude. origin is the (x, y) of cell (0, 0)'s center."""
 
     n1: int
     n2: int
     cell_size: float
-    origin: Position3
+    origin: tuple[float, float]
     altitude: float
 
     def __post_init__(self):
@@ -158,9 +158,9 @@ class GridWorld:
 
     def cell_center(self, state: int) -> Position3:
         i, j = self.cell_of(state)
-        origin = self.config.grid.origin
+        ox, oy = self.config.grid.origin
         size = self.config.grid.cell_size
-        return Position3(origin.x + i * size, origin.y + j * size, self.config.grid.altitude)
+        return Position3(ox + i * size, oy + j * size, self.config.grid.altitude)
 
     @cached_property
     def transitions(self) -> tuple[tuple[StepOutcome, ...], ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +57,10 @@ class ConvergenceMetric:
 
 @dataclass
 class RunConfig:
+    """One run's settings. explore overrides some of initial, decay and floor
+    of a baseline's default schedule; make_agent applies them to the default
+    built from the env, as Boltzmann's scales with its terminal bonus."""
+
     env_file: str
     agent: str
     episodes: int
@@ -65,7 +69,7 @@ class RunConfig:
     alpha: float = 0.1
     gamma: float = 1.0  # baselines only; the qirl agent is pinned at 1
     qirl: QiRLConfig | None = None  # qirl only; None: QiRLConfig(alpha=alpha)
-    schedule: ExplorationSchedule | None = None  # baselines only; None: agent-kind default
+    explore: dict[str, float] = field(default_factory=dict)  # baselines only
 
     def __post_init__(self):
         if self.agent not in AGENT_KINDS:
@@ -73,14 +77,16 @@ class RunConfig:
         # a knob this agent kind would ignore is refused, so the hash covers exactly what trains
         if self.agent == "qirl":
             self.qirl = self.qirl or QiRLConfig(alpha=self.alpha)
-            ignored = {"a schedule": self.schedule, "gamma != 1": self.gamma != 1.0}
+            ignored = {"exploration overrides": self.explore, "gamma != 1": self.gamma != 1.0}
             ignored["qirl.alpha != alpha"] = self.qirl.alpha != self.alpha
         else:
-            kind = "epsilon_greedy" if self.agent == "ql_eps" else "boltzmann"
-            ignored = {"a qirl config": self.qirl, "a schedule of another kind": self.schedule and self.schedule.kind != kind}
+            ignored = {"a qirl config": self.qirl}
         for knob, given in ignored.items():
             if given:
                 raise ValueError(f"agent {self.agent!r} does not take {knob}")
+        unknown = set(self.explore) - {"initial", "decay", "floor"}
+        if unknown:
+            raise ValueError(f"exploration override {min(unknown)!r} is not one of initial, decay, floor")
         if self.episodes < 1:
             raise ValueError("episodes must be at least 1")
         if not self.seeds:
@@ -94,15 +100,15 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def make_agent(config: RunConfig, env: GridWorld):
+    """A fresh agent for one seed: qirl from config.qirl, a baseline from its
+    kind's default schedule for env with config.explore applied."""
     if config.agent == "qirl":
         return QiRLAgent(env, config.qirl)
-    if config.schedule is not None:
-        schedule = config.schedule
-    elif config.agent == "ql_eps":
-        schedule = default_epsilon_schedule()
+    if config.agent == "ql_eps":
+        default = default_epsilon_schedule()
     else:
-        schedule = default_boltzmann_schedule(env.terminal_bonus)
-    return QLearningAgent(env, schedule, alpha=config.alpha, gamma=config.gamma)
+        default = default_boltzmann_schedule(env.terminal_bonus)
+    return QLearningAgent(env, replace(default, **config.explore), alpha=config.alpha, gamma=config.gamma)
 
 
 def train(
@@ -186,7 +192,11 @@ def convergence_metrics(logs: list[EpisodeLog], optimal_return: float, greedy_re
     return ConvergenceMetric(episodes_to_90pct, final, gap)
 
 
-def config_hash(config: RunConfig, env_file_bytes: bytes) -> str:
+def config_hash(config: RunConfig, env_file_bytes: bytes, schedule: ExplorationSchedule | None = None) -> str:
+    """SHA-256 over the layout bytes and every setting that trains. schedule,
+    make_agent's resolution of config.explore, is hashed only when explore is
+    non-empty. The qirl entry keeps the learner's fixed gamma of 1, so hashes
+    match those of earlier runs."""
     payload = {
         "env_sha256": hashlib.sha256(env_file_bytes).hexdigest(),
         "agent": config.agent,
@@ -194,8 +204,8 @@ def config_hash(config: RunConfig, env_file_bytes: bytes) -> str:
         "seeds": list(config.seeds),
         "alpha": config.alpha,
         "gamma": config.gamma,
-        "qirl": asdict(config.qirl) if config.qirl is not None else None,
-        "schedule": asdict(config.schedule) if config.schedule is not None else None,
+        "qirl": {**asdict(config.qirl), "gamma": 1.0} if config.qirl is not None else None,
+        "schedule": asdict(schedule) if config.explore else None,
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -215,23 +225,21 @@ def write_episodes_csv(path: Path, rows: list[tuple[int, EpisodeLog]]) -> None:
 
 
 def read_episodes_csv(path: Path) -> list[tuple[int, EpisodeLog]]:
+    """Parse a file written by write_episodes_csv; a malformed row raises
+    ValueError naming the file and line."""
     rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != EPISODE_COLUMNS:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != EPISODE_COLUMNS:
             raise ValueError(f"unexpected episodes.csv header in {path}")
         for rec in reader:
-            rows.append(
-                (
-                    int(rec["seed"]),
-                    EpisodeLog(
-                        int(rec["episode"]),
-                        float(rec["return"]),
-                        int(rec["steps"]),
-                        rec["reached_terminal"] == "true",
-                    ),
-                )
-            )
+            try:
+                seed, episode, total, steps, reached = rec
+                if reached not in ("true", "false"):
+                    raise ValueError(f"reached_terminal must be true or false, got {reached!r}")
+                rows.append((int(seed), EpisodeLog(int(episode), float(total), int(steps), reached == "true")))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return rows
 
 
@@ -295,7 +303,7 @@ def run(config: RunConfig) -> dict[str, Path]:
     summary = {
         "agent": config.agent,
         "env_file": str(config.env_file),
-        "config_hash": config_hash(config, env_path.read_bytes()),
+        "config_hash": config_hash(config, env_path.read_bytes(), agent.schedule if config.explore else None),
         "episodes": config.episodes,
         "window": WINDOW,
         "oracle_return": oracle.optimal_return,

@@ -144,7 +144,7 @@ def parse_layout(path: str | Path) -> EnvConfig:
 
     try:
         return EnvConfig(
-            grid=GridSpec(n1, n2, cell_size, Position3(ox, oy, altitude), altitude),
+            grid=GridSpec(n1, n2, cell_size, (ox, oy), altitude),
             users=tuple(parsed_users),
             carrier=carrier,
             start_cell=cells["start"],

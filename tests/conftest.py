@@ -28,7 +28,7 @@ def make_uniform_env(
     """Synthetic constant-reward grid; terminal defaults to the far corner."""
     if terminal is None:
         terminal = (n1 - 1, n2 - 1)
-    grid = GridSpec(n1, n2, cell_size, Position3(cell_size / 2, cell_size / 2, 0.0), 100.0)
+    grid = GridSpec(n1, n2, cell_size, (cell_size / 2, cell_size / 2), 100.0)
     return build(
         EnvConfig(
             grid=grid,
@@ -60,7 +60,7 @@ def make_channel_env(
         GroundUser(Position3(x, y, 0.0), tx_power=1.0, noise_power=1.0, bandwidth=2e6)
         for x, y in users_xy
     )
-    grid = GridSpec(n1, n2, 20.0, Position3(10.0, 10.0, 0.0), 100.0)
+    grid = GridSpec(n1, n2, 20.0, (10.0, 10.0), 100.0)
     return build(
         EnvConfig(
             grid=grid,

@@ -58,8 +58,8 @@ def test_qirl_config_validation():
         QiRLConfig(alpha=0.0)
     with pytest.raises(ValueError):
         QiRLConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        QiRLConfig(gamma=0.9)  # undiscounted by construction
+    with pytest.raises(TypeError):
+        QiRLConfig(gamma=1.0)  # undiscounted by construction: no gamma to set
     with pytest.raises(ValueError):
         QiRLConfig(k_plus=-1.0)
     with pytest.raises(ValueError):

@@ -1,15 +1,13 @@
 """Command-line interface: subcommands, output wiring, and exit codes."""
 
-import dataclasses
 import json
 
 import pytest
 
-from qirl_uav.agents import QiRLConfig, default_boltzmann_schedule, default_epsilon_schedule
+from qirl_uav import gridworld
+from qirl_uav.agents import QiRLConfig
 from qirl_uav.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from qirl_uav.gridworld import build
 from qirl_uav.harness import RunConfig, config_hash
-from qirl_uav.layout import parse_layout
 
 from conftest import TINY_LAYOUT
 
@@ -100,26 +98,53 @@ def test_flag_for_the_other_agent_kind_is_config_error(tmp_path, capsys, agent, 
 
 
 def test_explore_decay_alone_overrides_the_default_schedule(tmp_path):
-    """--explore-decay on its own replaces only the decay of the agent's
-    default schedule; the config hash records exactly that schedule."""
-    bonus = build(parse_layout(TINY)).terminal_bonus
-    defaults = {"ql_eps": default_epsilon_schedule(), "ql_boltz": default_boltzmann_schedule(bonus)}
-    for agent, default in defaults.items():
+    """--explore-decay on its own changes training and the config hash; the
+    hash of the schedule it resolves to is pinned in GOLDEN_HASHES."""
+    for agent in ("ql_eps", "ql_boltz"):
         plain, decay = tmp_path / agent / "plain", tmp_path / agent / "decay"
         common = ["--config", TINY, "--agent", agent, "--episodes", "60", "--seeds", "0"]
         assert run_cli("run", *common, "--out", str(plain)) == EXIT_OK
         assert run_cli("run", *common, "--out", str(decay), "--explore-decay", "0.5") == EXIT_OK
         assert (plain / "episodes.csv").read_bytes() != (decay / "episodes.csv").read_bytes()
-        expected = RunConfig(
-            env_file=TINY,
-            agent=agent,
-            episodes=60,
-            seeds=(0,),
-            output_dir=str(decay),
-            schedule=dataclasses.replace(default, decay=0.5),
-        )
-        summary = json.loads((decay / "summary.json").read_text())
-        assert summary["config_hash"] == config_hash(expected, TINY_LAYOUT.read_bytes())
+        hashes = [json.loads((out / "summary.json").read_text())["config_hash"] for out in (plain, decay)]
+        assert hashes[0] != hashes[1]
+
+
+# summary.json config_hash of `run --config configs/tiny_3x3_uniform.txt
+# --episodes 5 --seeds 0`, per agent and extra flags; fixed so that a run's
+# hash still names the same settings after the code that computes it moves.
+GOLDEN_HASHES = {
+    ("qirl",): "b36eabc921bd8bfb1449a360fd8d1860b5c8dbe1daeca60061a564fb09390fa4",
+    ("ql_eps",): "f69a937a7b994d2ca202d360550f3be454878a7d46e4ff7a8a631e223448fd64",
+    ("ql_eps", "--explore-floor", "0.05"): "56cd903091ee7c41f643969ffa5ea21feaef344656409ec1570232cce5b3a628",
+    ("ql_boltz",): "bf6d9a25cbf2eb08d5424efcef95604f3cf33b53d5c47c97f21e99154d546bff",
+    ("ql_boltz", "--explore-decay", "0.5"): "885cb689986e95155a2650087cf31dd56cbcfe2fced51cda229a9f91a9dce85e",
+}
+
+
+@pytest.mark.parametrize("agent_flags", list(GOLDEN_HASHES), ids="-".join)
+def test_config_hash_is_golden(tmp_path, agent_flags):
+    agent, *flags = agent_flags
+    out = tmp_path / "g"
+    argv = ["--config", TINY, "--agent", agent, "--episodes", "5", "--seeds", "0", "--out", str(out), *flags]
+    assert run_cli("run", *argv) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["config_hash"] == GOLDEN_HASHES[agent_flags]
+
+
+def test_explore_override_run_builds_the_env_once(tmp_path, monkeypatch):
+    """The Boltzmann default scales with the terminal bonus, so the override
+    is resolved against the env the run builds anyway, not a second one."""
+    built = []
+    init = gridworld.GridWorld.__init__
+
+    def counting_init(self, config):
+        built.append(config)
+        init(self, config)
+
+    monkeypatch.setattr(gridworld.GridWorld, "__init__", counting_init)
+    argv = ["--config", TINY, "--agent", "ql_boltz", "--episodes", "5", "--seeds", "0", "--out", str(tmp_path / "b")]
+    assert run_cli("run", *argv, "--explore-decay", "0.5") == EXIT_OK
+    assert len(built) == 1
 
 
 def test_oracle_subcommand_prints_optimum(capsys):
@@ -209,16 +234,41 @@ def test_metrics_on_malformed_summary_is_config_error(tmp_path, capsys, summary,
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("agent", ["qirl", "ql_eps", "ql_boltz"])
-def test_run_on_a_field_that_pays_nothing_is_config_error(tmp_path, capsys, agent):
+@pytest.mark.parametrize(
+    "row, complaint",
+    [
+        ("0,5,2.0", "not enough values to unpack"),
+        ("0,5,2.0,4,false,9", "too many values to unpack"),
+        ("0,5,2.0,4,maybe", "reached_terminal must be true or false, got 'maybe'"),
+    ],
+    ids=["truncated", "sixth-field", "not-a-bool"],
+)
+def test_metrics_on_malformed_episodes_row_is_config_error(tmp_path, capsys, row, complaint):
+    episodes = tmp_path / "episodes.csv"
+    episodes.write_text(f"seed,episode,return,steps,reached_terminal\n0,4,1.0,4,true\n{row}\n")
+    (tmp_path / "summary.json").write_text(json.dumps({"seeds": {"0": {"greedy_return": 1.0}}, "oracle_return": 13.0}))
+    assert run_cli("metrics", "--in", str(tmp_path)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{episodes}, line 3: " in captured.err and complaint in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "agent, flags",
+    [("qirl", ()), ("ql_eps", ()), ("ql_boltz", ()), ("ql_boltz", ("--explore-decay", "0.5"))],
+    ids=["qirl", "ql_eps", "ql_boltz", "ql_boltz-explore-decay"],
+)
+def test_run_on_a_field_that_pays_nothing_is_config_error(tmp_path, capsys, agent, flags):
     """Every cell rate underflows to 0, so the terminal bonus, which scales
-    the learners, and the planner optimum, which oracle_gap divides by, are 0."""
+    the learners, and the planner optimum, which oracle_gap divides by, are 0.
+    A Boltzmann override is resolved after that check, so it cannot preempt
+    it with a complaint about the zero default temperature."""
     layout = tmp_path / "far.txt"
     layout.write_text(TINY_LAYOUT.read_text().replace("uniform_reward 1.0", "user 1e200 0 1 1 1e6"))
     out = tmp_path / "x"
     code = run_cli(
         "run", "--config", str(layout), "--agent", agent,
-        "--episodes", "5", "--seeds", "0", "--out", str(out),
+        "--episodes", "5", "--seeds", "0", "--out", str(out), *flags,
     )
     assert code == EXIT_CONFIG
     assert "every cell of" in capsys.readouterr().err

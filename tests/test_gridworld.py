@@ -175,7 +175,7 @@ def test_transition_table_matches_geometry_on_drawn_grids(env):
 
 def _config(**overrides):
     base = dict(
-        grid=GridSpec(3, 3, 20.0, Position3(10.0, 10.0, 0.0), 100.0),
+        grid=GridSpec(3, 3, 20.0, (10.0, 10.0), 100.0),
         users=(),
         carrier=CarrierConfig(2e9),
         start_cell=(0, 0),
@@ -213,11 +213,11 @@ def test_env_config_rejects_oversubscribed_bandwidth():
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
-        GridSpec(1, 3, 20.0, Position3(10, 10, 0), 100.0)
+        GridSpec(1, 3, 20.0, (10, 10), 100.0)
     with pytest.raises(ValueError):
-        GridSpec(3, 3, 0.0, Position3(10, 10, 0), 100.0)
+        GridSpec(3, 3, 0.0, (10, 10), 100.0)
     with pytest.raises(ValueError):
-        GridSpec(3, 3, 20.0, Position3(10, 10, 0), -5.0)
+        GridSpec(3, 3, 20.0, (10, 10), -5.0)
 
 
 def test_build_channel_rewards_peak_under_user_cluster():

@@ -1,6 +1,7 @@
 """Training loop, convergence metrics, output files, and reproducibility."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -122,25 +123,33 @@ def test_make_agent_dispatch(tiny_env):
     assert boltz.name == "ql_boltz"
     # boltzmann default temperature scales with the terminal bonus
     assert boltz.schedule.initial == tiny_env.terminal_bonus
-    override = tiny_config("/tmp", agent="ql_eps", schedule=default_epsilon_schedule())
-    assert make_agent(override, tiny_env).schedule is override.schedule
+    # an override replaces its own field of the kind's default schedule and keeps the rest
+    override = make_agent(tiny_config("/tmp", agent="ql_boltz", explore={"floor": 0.5}), tiny_env)
+    assert override.schedule == replace(default_boltzmann_schedule(tiny_env.terminal_bonus), floor=0.5)
+    assert make_agent(tiny_config("/tmp", agent="ql_eps"), tiny_env).schedule == default_epsilon_schedule()
 
 
 @pytest.mark.parametrize(
     "agent, knobs",
     [
-        ("ql_eps", {"schedule": default_boltzmann_schedule(10.0)}),
-        ("ql_boltz", {"schedule": default_epsilon_schedule()}),
         ("ql_eps", {"qirl": QiRLConfig()}),
-        ("qirl", {"schedule": default_epsilon_schedule()}),
+        ("qirl", {"explore": {"decay": 0.5}}),
         ("qirl", {"gamma": 0.9}),
         ("qirl", {"alpha": 0.5, "qirl": QiRLConfig()}),
     ],
-    ids=["eps-boltz-schedule", "boltz-eps-schedule", "eps-qirl-config", "qirl-schedule", "qirl-gamma", "qirl-alpha"],
+    ids=["eps-qirl-config", "qirl-schedule", "qirl-gamma", "qirl-alpha"],
 )
 def test_run_config_rejects_knobs_its_agent_ignores(tmp_path, agent, knobs):
     with pytest.raises(ValueError, match=f"agent '{agent}' does not take"):
         tiny_config(tmp_path, agent=agent, **knobs)
+
+
+@pytest.mark.parametrize("agent", ["ql_eps", "ql_boltz"])
+@pytest.mark.parametrize("key", ["kind", "tau"])
+def test_run_config_refuses_an_override_outside_initial_decay_floor(tmp_path, agent, key):
+    """`kind` is a schedule field too, but no run may switch its agent's kind."""
+    with pytest.raises(ValueError, match=f"exploration override '{key}' is not one of initial, decay, floor"):
+        tiny_config(tmp_path, agent=agent, explore={key: 0.5})
 
 
 def test_default_qirl_config_has_one_hash(tmp_path):

@@ -56,13 +56,13 @@ def test_comments_blanks_and_default_origin(tmp_path):
     lines = ["# header", ""] + VALID_LINES + ["  # trailing comment line"]
     cfg = parse_layout(write_layout(tmp_path, lines))
     # origin defaults to the center of cell (0,0)
-    assert (cfg.grid.origin.x, cfg.grid.origin.y) == (10.0, 10.0)
+    assert cfg.grid.origin == (10.0, 10.0)
 
 
 def test_explicit_origin_and_boundary_penalty(tmp_path):
     lines = VALID_LINES + ["origin 0 5", "boundary_penalty -0.25"]
     cfg = parse_layout(write_layout(tmp_path, lines))
-    assert (cfg.grid.origin.x, cfg.grid.origin.y) == (0.0, 5.0)
+    assert cfg.grid.origin == (0.0, 5.0)
     assert cfg.boundary_penalty == -0.25
 
 
