@@ -55,9 +55,10 @@ class QiRLConfig:
         return self.alpha / (1.0 + self.alpha_decay * update_count)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExplorationSchedule:
-    """Per-episode exploration parameter: max(floor, initial * decay^episode)."""
+    """Per-episode exploration parameter: max(floor, initial * decay^episode).
+    A Boltzmann floor is at least MIN_TEMPERATURE, so ql_select needs no check."""
 
     kind: str  # "epsilon_greedy" or "boltzmann"
     initial: float
@@ -71,8 +72,8 @@ class ExplorationSchedule:
             raise ValueError("initial must be non-negative")
         if not 0.0 < self.decay <= 1.0:
             raise ValueError("decay must lie in (0, 1]")
-        if self.floor < 0.0 or (self.kind == "boltzmann" and self.floor <= 0.0):
-            raise ValueError("floor must be positive for boltzmann, non-negative otherwise")
+        if not self.floor >= (MIN_TEMPERATURE if self.kind == "boltzmann" else 0.0):
+            raise ValueError(f"floor must be at least {MIN_TEMPERATURE:g} for boltzmann, non-negative otherwise")
 
     def value(self, episode: int) -> float:
         return max(self.floor, self.initial * self.decay**episode)
@@ -152,7 +153,7 @@ def qirl_update(
     cut: bool = False,
 ) -> None:
     """One undiscounted TD(0) value step plus one multiplicative preference
-    step, in place.
+    step, in place; GridWorld has already refused a non-finite reward.
 
     The TD error is computed before the value write. The reinforcement factor
     exp(clamp(k * (reward + V(next_state)) / reward_scale)) reads the value
@@ -169,8 +170,6 @@ def qirl_update(
     episode's last action is punished in proportion to the value it failed
     to cash in, exactly countering the boosts a loop collected on the way.
     """
-    if not math.isfinite(reward):
-        raise ValueError("reward must be finite")
     if cfg.reward_scale is None:
         raise ValueError("reward_scale unresolved; construct the config with a value or use QiRLAgent")
     alpha = cfg.alpha_at(update_count)
@@ -203,7 +202,7 @@ def ql_select(
     epsilon-greedy consumes two uniforms per call (branch, then action or
     tie-break); Boltzmann consumes one, in quantum.sample_index. Softmax
     subtracts the row max before exponentiating, so extreme Q values cannot
-    overflow.
+    overflow, and ExplorationSchedule keeps the temperature >= MIN_TEMPERATURE.
     """
     value = schedule.value(episode)
     row = q[state].tolist()
@@ -215,8 +214,6 @@ def ql_select(
         top = max(row)
         ties = [i for i, v in enumerate(row) if v == top]
         return ties[min(int(u_pick * len(ties)), len(ties) - 1)]
-    if value < MIN_TEMPERATURE:
-        raise ValueError(f"temperature {value:g} below minimum {MIN_TEMPERATURE:g}")
     z = [v / value for v in row]
     top = max(z)
     w0, w1, w2, w3 = (math.exp(v - top) for v in z)
@@ -234,12 +231,10 @@ def ql_update(
     gamma: float,
     terminal: bool = False,
 ) -> None:
-    """Standard Q-learning backup.
+    """Standard Q-learning backup; GridWorld has already refused a non-finite reward.
 
     terminal covers any episode-ending transition (terminal entry or budget
     cut): those bootstrap from 0 instead of max Q(next)."""
-    if not math.isfinite(reward):
-        raise ValueError("reward must be finite")
     bootstrap = 0.0 if terminal else max(q[next_state].tolist())
     old = float(q[state, action])
     q[state, action] = old + alpha * (reward + gamma * bootstrap - old)

@@ -103,8 +103,8 @@ class EnvConfig:
         if self.max_steps * n1 * n2 > MAX_PLAN_CELLS:
             message = f"max_steps {self.max_steps} x {n1 * n2} cells exceeds the planner cap of {MAX_PLAN_CELLS} cells"
             raise FieldError("max_steps", message)
-        if self.boundary_penalty > 0.0:
-            raise FieldError("boundary_penalty", "boundary_penalty must be <= 0")
+        if not -np.inf < self.boundary_penalty <= 0.0:
+            raise FieldError("boundary_penalty", "boundary_penalty must be <= 0 and finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +127,7 @@ class GridWorld:
     reward) instead and ends the episode. Moves off the grid rebound: same
     state, boundary penalty (default 0), episode continues. Every move is
     read from `transitions`, the one table that `step` and the planners
-    share.
+    share. A field or terminal bonus that is not finite is refused here.
     """
 
     def __init__(self, config: EnvConfig):
@@ -146,6 +146,8 @@ class GridWorld:
             for s in range(self.n_states):
                 self.rewards[s] = sum_rate(self.cell_center(s), config.users, config.carrier)
         self.terminal_bonus = TERMINAL_BONUS_FACTOR * float(self.rewards.max())
+        if not (np.isfinite(self.rewards).all() and np.isfinite(self.terminal_bonus)):
+            raise ValueError(f"reward field is not finite: terminal bonus (10x its maximum) {self.terminal_bonus!r}")
 
     def state_of(self, i: int, j: int) -> int:
         if not (0 <= i < self.n1 and 0 <= j < self.n2):

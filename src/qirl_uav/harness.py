@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -214,7 +215,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_episodes_csv(path: Path, rows: list[tuple[int, EpisodeLog]]) -> None:
+def write_episodes_csv(path: Path, rows: Iterable[tuple[int, EpisodeLog]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EPISODE_COLUMNS)
@@ -257,29 +258,30 @@ def write_trajectory_csv(path: Path, env: GridWorld, rollouts: dict[int, "Rollou
 
 
 def run(config: RunConfig) -> dict[str, Path]:
-    """Train over every seed and write the three output files.
+    """Train over every seed, then plan, and write the three output files.
 
-    Seeds are independent (fresh agent and generator each); they are run
-    sequentially in listed order so outputs are reproducible byte for byte.
-    Returns the paths of the written files.
+    The layout's bytes are read once, then parsed and hashed. Seeds run one
+    after another in listed order, each with a fresh agent and generator, so
+    outputs are reproducible byte for byte. The plan comes last, so a knob an
+    agent refuses costs no plan. Returns the paths of the written files.
     """
-    env_path = Path(config.env_file)
-    env = build(parse_layout(env_path))
+    env_bytes = Path(config.env_file).read_bytes()
+    env = build(parse_layout(config.env_file, env_bytes))
     if env.terminal_bonus == 0.0:  # qirl and Boltzmann scale by it, oracle_gap divides by the optimum
-        raise ValueError(f"every cell of {env_path} pays 0, so the terminal bonus is 0: nothing to learn")
-    oracle = dp_optimal(env)
+        raise ValueError(f"every cell of {config.env_file} pays 0, so the terminal bonus is 0: nothing to learn")
 
-    episode_rows: list[tuple[int, EpisodeLog]] = []
+    logs_of = {}
     rollouts = {}
-    per_seed = {}
     for seed in config.seeds:
         rng = make_rng(seed)
         agent = make_agent(config, env)
-        logs = train(env, agent, config.episodes, rng)
-        rollout = greedy_rollout(env, agent.greedy_action)
-        metric = convergence_metrics(logs, oracle.optimal_return, rollout.total_return)
-        episode_rows.extend((seed, log) for log in logs)
-        rollouts[seed] = rollout
+        logs_of[seed] = train(env, agent, config.episodes, rng)
+        rollouts[seed] = greedy_rollout(env, agent.greedy_action)
+    oracle = dp_optimal(env)
+
+    per_seed = {}
+    for seed, rollout in rollouts.items():
+        metric = convergence_metrics(logs_of[seed], oracle.optimal_return, rollout.total_return)
         greedy_steps = len(rollout.states) - 1
         per_seed[str(seed)] = {
             "episodes_to_90pct": metric.episodes_to_90pct,
@@ -298,12 +300,13 @@ def run(config: RunConfig) -> dict[str, Path]:
         "trajectory": out_dir / "trajectory.csv",
         "summary": out_dir / "summary.json",
     }
-    write_episodes_csv(paths["episodes"], episode_rows)
+    rows = ((seed, log) for seed, logs in logs_of.items() for log in logs)
+    write_episodes_csv(paths["episodes"], rows)
     write_trajectory_csv(paths["trajectory"], env, rollouts)
     summary = {
         "agent": config.agent,
         "env_file": str(config.env_file),
-        "config_hash": config_hash(config, env_path.read_bytes(), agent.schedule if config.explore else None),
+        "config_hash": config_hash(config, env_bytes, agent.schedule if config.explore else None),
         "episodes": config.episodes,
         "window": WINDOW,
         "oracle_return": oracle.optimal_return,

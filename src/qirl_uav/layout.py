@@ -76,12 +76,12 @@ def _build(source: str, line_no: int, make, *args):
         _fail(source, line_no, str(exc))
 
 
-def parse_layout(path: str | Path) -> EnvConfig:
-    """Read a layout file and return a validated EnvConfig."""
-    path = Path(path)
-    source = str(path)
+def parse_layout(path: str | Path, data: bytes | None = None) -> EnvConfig:
+    """Parse a layout file into a validated EnvConfig. data, if given, is the
+    file's bytes already read (`run` hashes them); path then only names it."""
+    source = str(Path(path))
     try:
-        content = path.read_bytes().decode("utf-8")
+        content = (Path(path).read_bytes() if data is None else data).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LayoutError(f"{source}: not UTF-8 text ({exc})") from exc
     fields: dict[str, tuple] = {}  # keyword -> (values, line_no)

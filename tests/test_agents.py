@@ -1,12 +1,14 @@
 """Selection and update rules for the preference-table learner and the
 Q-table baselines, plus the schedule and rollout helpers."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from qirl_uav.agents import (
+    MIN_TEMPERATURE,
     ExplorationSchedule,
     _apply_floor,
     QiRLAgent,
@@ -190,10 +192,19 @@ def test_boltzmann_survives_extreme_values():
     assert all(ql_select(q, 0, sched, 0, rng_of(10)) == 0 for _ in range(20))
 
 
-def test_boltzmann_rejects_vanishing_temperature():
-    sched = ExplorationSchedule("boltzmann", 1e-13, 1.0, 1e-13)
+def test_boltzmann_schedule_refuses_a_floor_below_the_minimum_temperature():
+    # the schedule is the one guard: value() never drops below the floor, and
+    # ql_select divides by whatever temperature it is given
+    with pytest.raises(ValueError, match="at least 1e-12"):
+        ExplorationSchedule("boltzmann", 1.0, 0.5, 1e-13)
     with pytest.raises(ValueError):
-        ql_select(q_table(1), 0, sched, 0, rng_of(11))
+        ExplorationSchedule("boltzmann", 1.0, 0.5, math.nan)
+    sched = ExplorationSchedule("boltzmann", 1.0, 0.5, MIN_TEMPERATURE)
+    assert min(sched.value(e) for e in range(200)) == MIN_TEMPERATURE
+    assert ql_select(q_table(1), 0, sched, 199, rng_of(11)) in range(4)
+    ExplorationSchedule("epsilon_greedy", 1.0, 0.5, 0.0)  # epsilon may reach 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.floor = 0.0
 
 
 def test_boltzmann_consumes_one_uniform():
@@ -281,13 +292,6 @@ def test_ql_update_backup():
     assert q[0, 3] == 0.5 * (1.0 + 0.5 * 2.0)
     ql_update(q, 0, 2, 1.0, 1, alpha=0.5, gamma=0.5, terminal=True)
     assert q[0, 2] == 0.5  # terminal: no bootstrap
-
-
-def test_updates_reject_non_finite_reward():
-    with pytest.raises(ValueError):
-        qirl_update(value_table(2), preference_table(2), 0, 0, math.nan, 1, False, cfg_unit_scale())
-    with pytest.raises(ValueError):
-        ql_update(q_table(2), 0, 0, math.inf, 1, 0.5, 1.0)
 
 
 def test_qirl_update_requires_resolved_scale():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qirl_uav import gridworld
+from qirl_uav import cli, gridworld, harness
 from qirl_uav.agents import QiRLConfig
 from qirl_uav.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qirl_uav.harness import RunConfig, config_hash
@@ -286,6 +286,66 @@ def test_step_budget_beyond_the_planner_cap_is_config_error(tmp_path, capsys):
     assert run_cli("oracle", "--config", str(layout)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "line 10:" in err and "exceeds the planner cap" in err  # the max_steps line
+
+
+INFINITE_FIELD = "user 0 0 1e300 1e-300 1e6"  # every cell rate overflows to inf
+REFUSED_INPUTS = {
+    "qirl-infinite-field": ("qirl", INFINITE_FIELD, (), "reward field is not finite"),
+    "ql_eps-infinite-field": ("ql_eps", INFINITE_FIELD, (), "reward field is not finite"),
+    "ql_boltz-infinite-field": ("ql_boltz", INFINITE_FIELD, (), "reward field is not finite"),
+    "ql_boltz-floor-1e-13": (
+        "ql_boltz", None, ("--explore-floor", "1e-13", "--explore-decay", "0.5"), "floor must be at least 1e-12"
+    ),
+    "ql_eps-alpha-0": ("ql_eps", None, ("--alpha", "0"), "alpha must lie in (0, 1]"),
+    "ql_eps-gamma-1.5": ("ql_eps", None, ("--gamma", "1.5"), "gamma must lie in [0, 1]"),
+    "ql_eps-explore-decay-1.5": ("ql_eps", None, ("--explore-decay", "1.5"), "decay must lie in (0, 1]"),
+}
+
+
+def count_plans_and_training(monkeypatch) -> list[str]:
+    """Wrap every dp_optimal and train that `run` and `oracle` reach; the
+    returned list names each call made."""
+    calls = []
+    for module, name in ((harness, "dp_optimal"), (harness, "train"), (cli, "dp_optimal")):
+        real = getattr(module, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("agent, field, flags, complaint", list(REFUSED_INPUTS.values()), ids=list(REFUSED_INPUTS))
+def test_bad_input_is_refused_before_any_plan_or_training(
+    tmp_path, capsys, monkeypatch, agent, field, flags, complaint
+):
+    """Each rule fires where its value is made, so a refused input costs no
+    plan and no training step, and leaves no output directory."""
+    layout = tmp_path / "layout.txt"
+    text = TINY_LAYOUT.read_text()
+    layout.write_text(text if field is None else text.replace("uniform_reward 1.0", field))
+    calls = count_plans_and_training(monkeypatch)
+    out = tmp_path / "x"
+    code = run_cli(
+        "run", "--config", str(layout), "--agent", agent,
+        "--episodes", "200", "--seeds", "0", "--out", str(out), *flags,
+    )
+    assert code == EXIT_CONFIG
+    assert complaint in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
+
+
+def test_oracle_refuses_a_field_that_is_not_finite(tmp_path, capsys, monkeypatch):
+    layout = tmp_path / "loud.txt"
+    layout.write_text(TINY_LAYOUT.read_text().replace("uniform_reward 1.0", INFINITE_FIELD))
+    calls = count_plans_and_training(monkeypatch)
+    assert run_cli("oracle", "--config", str(layout)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "reward field is not finite" in captured.err and captured.out == ""
+    assert calls == []
 
 
 def test_oracle_on_a_user_beyond_double_path_loss_range(tmp_path, capsys):

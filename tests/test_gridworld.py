@@ -201,8 +201,23 @@ def test_env_config_validation():
         _config(uniform_reward=-1.0)
     with pytest.raises(ValueError):
         _config(boundary_penalty=0.5)  # rebounds may not be rewarded
+    for penalty in (-np.inf, np.nan):  # every reward a move pays is finite
+        with pytest.raises(ValueError, match="boundary_penalty must be <= 0 and finite"):
+            _config(boundary_penalty=penalty)
     with pytest.raises(ValueError):
         _config(total_bandwidth=0.0)
+
+
+def test_build_refuses_rewards_that_are_not_finite():
+    # the learners read every reward unchecked, so build is where a field that
+    # is not finite must stop: a cell rate that overflows, or a terminal bonus
+    # (10x the field maximum) that does
+    loud = GroundUser(Position3(0, 0, 0), 1e300, 1e-300, 1e6)
+    with pytest.raises(ValueError, match="not finite: terminal bonus .* inf"):
+        build(_config(users=(loud,), uniform_reward=None))
+    with pytest.raises(ValueError, match="not finite"):
+        build(_config(uniform_reward=1e308))
+    assert build(_config(uniform_reward=1e307)).terminal_bonus == 1e308
 
 
 def test_env_config_rejects_oversubscribed_bandwidth():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qirl_uav import harness
 from qirl_uav.agents import QiRLAgent, QiRLConfig, default_boltzmann_schedule, default_epsilon_schedule
 from qirl_uav.harness import (
     WINDOW,
@@ -254,6 +255,23 @@ def test_config_hash_tracks_every_input(tmp_path):
     moved = tiny_config(tmp_path)
     moved.output_dir = str(tmp_path / "elsewhere")
     assert h == config_hash(moved, env_bytes)
+
+
+def test_layout_edited_during_training_does_not_change_the_hash(tmp_path, monkeypatch):
+    """config_hash names the bytes the run parsed, not whatever the file
+    holds by the time the outputs are written."""
+    layout = tmp_path / "tiny.txt"
+    layout.write_bytes(TINY_LAYOUT.read_bytes())
+
+    def editing_train(*args, **kwargs):
+        layout.write_bytes(TINY_LAYOUT.read_bytes() + b"# edited while training\n")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", editing_train)
+    config = replace(tiny_config(tmp_path, seeds=(0,)), env_file=str(layout))
+    summary = json.loads(run(config)["summary"].read_text())
+    assert layout.read_bytes() != TINY_LAYOUT.read_bytes()
+    assert summary["config_hash"] == config_hash(config, TINY_LAYOUT.read_bytes())
 
 
 def test_convergence_metric_shape():
