@@ -5,18 +5,19 @@ Both the qirl collapse and the Boltzmann softmax draw with quantum.sample_index.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gridworld import N_ACTIONS, GridWorld, StepOutcome
+from .gridworld import N_ACTIONS, FieldError, GridWorld, StepOutcome
 from .quantum import sample_index
 
-ROW_SUM_TOL = 1e-6
 MIN_TEMPERATURE = 1e-12
+MAX_EXPONENT = math.log(sys.float_info.max)  # ~709.78: exp(clamp) is finite, a row's max times exp(-clamp) > 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class QiRLConfig:
     """Hyperparameters for the quantum-inspired agent. The learner is
     episodic and undiscounted, so there is no gamma to set.
@@ -25,6 +26,9 @@ class QiRLConfig:
     "use the environment's terminal bonus", resolved at agent construction.
     alpha_decay is the c in alpha_k = alpha / (1 + c*k) over the update count,
     which satisfies the usual stochastic-approximation step-size conditions.
+
+    Every rule refuses NaN and infinity, and exponent_clamp <= MAX_EXPONENT,
+    so rows stay on the simplex. Frozen: no rule is bypassed after construction.
     """
 
     alpha: float = 0.1
@@ -38,18 +42,18 @@ class QiRLConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.k_plus <= 0.0:
-            raise ValueError("k_plus must be positive")
-        if self.k_minus >= 0.0:
-            raise ValueError("k_minus must be negative")
-        if self.reward_scale is not None and self.reward_scale <= 0.0:
-            raise ValueError("reward_scale must be positive")
-        if self.exponent_clamp <= 0.0:
-            raise ValueError("exponent_clamp must be positive")
+        if not 0.0 < self.k_plus < math.inf:
+            raise ValueError("k_plus must be positive and finite")
+        if not -math.inf < self.k_minus < 0.0:
+            raise ValueError("k_minus must be negative and finite")
+        if self.reward_scale is not None and not 0.0 < self.reward_scale < math.inf:
+            raise ValueError("reward_scale must be positive and finite")
+        if not 0.0 < self.exponent_clamp <= MAX_EXPONENT:
+            raise ValueError(f"exponent_clamp must lie in (0, {MAX_EXPONENT:.2f}]")
         if not 0.0 <= self.p_floor <= 0.01:
             raise ValueError("p_floor must lie in [0, 0.01]")
-        if self.alpha_decay < 0.0:
-            raise ValueError("alpha_decay must be non-negative")
+        if not 0.0 <= self.alpha_decay < math.inf:
+            raise ValueError("alpha_decay must be non-negative and finite")
 
     def alpha_at(self, update_count: int) -> float:
         return self.alpha / (1.0 + self.alpha_decay * update_count)
@@ -67,24 +71,33 @@ class ExplorationSchedule:
 
     def __post_init__(self):
         if self.kind not in ("epsilon_greedy", "boltzmann"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.initial < 0.0:
-            raise ValueError("initial must be non-negative")
+            raise FieldError("kind", f"unknown schedule kind {self.kind!r}")
+        if not 0.0 <= self.initial < math.inf:
+            raise FieldError("initial", "initial must be non-negative and finite")
         if not 0.0 < self.decay <= 1.0:
-            raise ValueError("decay must lie in (0, 1]")
-        if not self.floor >= (MIN_TEMPERATURE if self.kind == "boltzmann" else 0.0):
-            raise ValueError(f"floor must be at least {MIN_TEMPERATURE:g} for boltzmann, non-negative otherwise")
+            raise FieldError("decay", "decay must lie in (0, 1]")
+        if not (MIN_TEMPERATURE if self.kind == "boltzmann" else 0.0) <= self.floor < math.inf:
+            raise FieldError("floor", f"floor must be at least {MIN_TEMPERATURE:g} for boltzmann (else 0) and finite")
 
     def value(self, episode: int) -> float:
         return max(self.floor, self.initial * self.decay**episode)
 
 
-def default_epsilon_schedule() -> ExplorationSchedule:
-    return ExplorationSchedule("epsilon_greedy", 1.0, 0.995, 0.01)
+def default_epsilon_schedule(**overrides: float) -> ExplorationSchedule:
+    return ExplorationSchedule("epsilon_greedy", **{"initial": 1.0, "decay": 0.995, "floor": 0.01, **overrides})
 
 
-def default_boltzmann_schedule(terminal_bonus: float) -> ExplorationSchedule:
-    return ExplorationSchedule("boltzmann", terminal_bonus, 0.995, 0.01 * terminal_bonus)
+def default_boltzmann_schedule(terminal_bonus: float, **overrides: float) -> ExplorationSchedule:
+    """tau from the terminal bonus down to 1% of it; overrides replace any of
+    initial, decay, floor. A default floor below MIN_TEMPERATURE names the bonus."""
+    defaults = {"initial": terminal_bonus, "decay": 0.995, "floor": 0.01 * terminal_bonus}
+    try:
+        return ExplorationSchedule("boltzmann", **{**defaults, **overrides})
+    except FieldError as exc:
+        if exc.field != "floor" or "floor" in overrides:
+            raise
+        message = f"default Boltzmann floor (1% of terminal bonus {terminal_bonus:g}) is below {MIN_TEMPERATURE:g}"
+        raise FieldError("floor", f"{message}: set one with --explore-floor") from None
 
 
 def value_table(n_states: int) -> np.ndarray:
@@ -103,11 +116,8 @@ def q_table(n_states: int) -> np.ndarray:
 
 def qirl_select(prefs: np.ndarray, state: int, rng: np.random.Generator) -> int:
     """Collapse the state's action distribution through quantum.sample_index;
-    one uniform consumed."""
-    row = prefs[state].tolist()
-    if abs(row[0] + row[1] + row[2] + row[3] - 1.0) > ROW_SUM_TOL:
-        raise ValueError(f"preference row for state {state} does not sum to 1")
-    return sample_index(row, rng)
+    one uniform consumed. The row is not re-checked (see QiRLConfig)."""
+    return sample_index(prefs[state].tolist(), rng)
 
 
 def _apply_floor(p: list[float], floor: float) -> None:

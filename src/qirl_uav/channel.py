@@ -38,12 +38,9 @@ class GroundUser:
     def __post_init__(self):
         if self.position.z != 0.0:
             raise ValueError("ground user must sit at z = 0")
-        if self.tx_power <= 0.0:
-            raise ValueError("user tx_power must be positive")
-        if self.noise_power <= 0.0:
-            raise ValueError("user noise_power must be positive")
-        if self.bandwidth <= 0.0:
-            raise ValueError("user bandwidth must be positive")
+        for name in ("tx_power", "noise_power", "bandwidth"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"user {name} must be positive and finite")
 
 
 @dataclass(frozen=True)

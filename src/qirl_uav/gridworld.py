@@ -59,8 +59,10 @@ class GridSpec:
             if getattr(self, name) < 2:
                 raise FieldError(name, "grid needs at least 2 cells per side")
         for name in ("cell_size", "altitude"):
-            if getattr(self, name) <= 0.0:
-                raise FieldError(name, f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise FieldError(name, f"{name} must be positive and finite")
+        if not all(-np.inf < v < np.inf for v in self.origin):
+            raise FieldError("origin", "origin must be finite")
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,10 @@ class EnvConfig:
         if self.uniform_reward is None:
             if not self.users:
                 raise FieldError("users", "no user lines and no uniform_reward: the reward field needs one of them")
-        elif self.uniform_reward <= 0.0:
-            raise FieldError("uniform_reward", "uniform_reward must be positive")
-        if self.total_bandwidth <= 0.0:
-            raise FieldError("total_bandwidth", "total bandwidth must be positive")
+        elif not 0.0 < self.uniform_reward < np.inf:
+            raise FieldError("uniform_reward", "uniform_reward must be positive and finite")
+        if not 0.0 < self.total_bandwidth < np.inf:
+            raise FieldError("total_bandwidth", "total bandwidth must be positive and finite")
         allocated = 0.0
         for index, user in enumerate(self.users):
             allocated += user.bandwidth
@@ -127,7 +129,7 @@ class GridWorld:
     reward) instead and ends the episode. Moves off the grid rebound: same
     state, boundary penalty (default 0), episode continues. Every move is
     read from `transitions`, the one table that `step` and the planners
-    share. A field or terminal bonus that is not finite is refused here.
+    share. A field whose max_steps-move return could overflow is refused here.
     """
 
     def __init__(self, config: EnvConfig):
@@ -146,8 +148,9 @@ class GridWorld:
             for s in range(self.n_states):
                 self.rewards[s] = sum_rate(self.cell_center(s), config.users, config.carrier)
         self.terminal_bonus = TERMINAL_BONUS_FACTOR * float(self.rewards.max())
-        if not (np.isfinite(self.rewards).all() and np.isfinite(self.terminal_bonus)):
-            raise ValueError(f"reward field is not finite: terminal bonus (10x its maximum) {self.terminal_bonus!r}")
+        if not np.isfinite(self.max_steps * max(self.terminal_bonus, -self.boundary_penalty)):
+            message = f"terminal bonus (10x its maximum) {self.terminal_bonus!r} or penalty {self.boundary_penalty!r}"
+            raise ValueError(f"reward field is not finite: {message}, times max_steps {self.max_steps}")
 
     def state_of(self, i: int, j: int) -> int:
         if not (0 <= i < self.n1 and 0 <= j < self.n2):

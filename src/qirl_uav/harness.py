@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +59,8 @@ class ConvergenceMetric:
 @dataclass
 class RunConfig:
     """One run's settings. explore overrides some of initial, decay and floor
-    of a baseline's default schedule; make_agent applies them to the default
-    built from the env, as Boltzmann's scales with its terminal bonus."""
+    of a baseline's default schedule; make_agent builds that schedule from the
+    env, as Boltzmann's scales with its terminal bonus."""
 
     env_file: str
     agent: str
@@ -102,14 +102,14 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def make_agent(config: RunConfig, env: GridWorld):
     """A fresh agent for one seed: qirl from config.qirl, a baseline from its
-    kind's default schedule for env with config.explore applied."""
+    kind's default schedule for env, built once with config.explore applied."""
     if config.agent == "qirl":
         return QiRLAgent(env, config.qirl)
     if config.agent == "ql_eps":
-        default = default_epsilon_schedule()
+        schedule = default_epsilon_schedule(**config.explore)
     else:
-        default = default_boltzmann_schedule(env.terminal_bonus)
-    return QLearningAgent(env, replace(default, **config.explore), alpha=config.alpha, gamma=config.gamma)
+        schedule = default_boltzmann_schedule(env.terminal_bonus, **config.explore)
+    return QLearningAgent(env, schedule, alpha=config.alpha, gamma=config.gamma)
 
 
 def train(

@@ -16,14 +16,13 @@ Each non-blank line is `keyword value...`; `#` starts a comment. Keywords:
     boundary_penalty R              reward on rebound, <= 0 (optional)
 
 Users may be omitted only when uniform_reward is given. This module checks
-the syntax; the config dataclasses (GridSpec, EnvConfig, GroundUser,
-CarrierConfig) check the values. Either kind of error raises LayoutError
-with the line that supplied the offending value.
+syntax only; the config dataclasses (GridSpec, EnvConfig, GroundUser,
+Position3, CarrierConfig) check every value, finiteness included. Either
+kind of error raises LayoutError with the line that supplied the value.
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 from .channel import CarrierConfig, GroundUser, Position3
@@ -51,21 +50,12 @@ def _fail(source: str, line_no: int, message: str) -> None:
     raise LayoutError(f"{source}, line {line_no}: {message}")
 
 
-def _parse_float(source: str, line_no: int, token: str, field: str) -> float:
+def _parse(source: str, line_no: int, token: str, field: str, kind=float):
+    """token as a float, or with kind=int an integer; the dataclasses check the value."""
     try:
-        value = float(token)
+        return kind(token)
     except ValueError:
-        _fail(source, line_no, f"{field} must be a number, got {token!r}")
-    if not math.isfinite(value):
-        _fail(source, line_no, f"{field} must be finite, got {token!r}")
-    return value
-
-
-def _parse_int(source: str, line_no: int, token: str, field: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        _fail(source, line_no, f"{field} must be an integer, got {token!r}")
+        _fail(source, line_no, f"{field} must be {'an integer' if kind is int else 'a number'}, got {token!r}")
 
 
 def _build(source: str, line_no: int, make, *args):
@@ -113,18 +103,18 @@ def parse_layout(path: str | Path, data: bytes | None = None) -> EnvConfig:
             _fail(source, line_no, f"{key} takes {count} value(s), got {len(args)}")
         return args, line_no
 
-    def scalar(key: str, parse=_parse_float):
+    def scalar(key: str, kind=float):
         args, line_no = take(key, 1)
-        return parse(source, line_no, args[0], key)
+        return _parse(source, line_no, args[0], key, kind)
 
     args, ln = take("grid", 2)
-    n1, n2 = (_parse_int(source, ln, a, "grid size") for a in args)
+    n1, n2 = (_parse(source, ln, a, "grid size", int) for a in args)
     cell_size = scalar("cell_size")
     altitude = scalar("altitude")
     if "origin" in fields:
         args, ln = take("origin", 2)
-        ox = _parse_float(source, ln, args[0], "origin x")
-        oy = _parse_float(source, ln, args[1], "origin y")
+        ox = _parse(source, ln, args[0], "origin x")
+        oy = _parse(source, ln, args[1], "origin y")
     else:
         ox = oy = cell_size / 2.0
     carrier = _build(source, fields["carrier_freq"][1], CarrierConfig, scalar("carrier_freq"))
@@ -132,15 +122,15 @@ def parse_layout(path: str | Path, data: bytes | None = None) -> EnvConfig:
     cells = {}
     for key in ("start", "terminal"):
         args, ln = take(key, 2)
-        cells[key] = (_parse_int(source, ln, args[0], f"{key} i"), _parse_int(source, ln, args[1], f"{key} j"))
-    max_steps = scalar("max_steps", _parse_int)
+        cells[key] = (_parse(source, ln, args[0], f"{key} i", int), _parse(source, ln, args[1], f"{key} j", int))
+    max_steps = scalar("max_steps", int)
     uniform_reward = scalar("uniform_reward") if "uniform_reward" in fields else None
     boundary_penalty = scalar("boundary_penalty") if "boundary_penalty" in fields else 0.0
 
     parsed_users = []
     for args, ln in users:
-        x, y, tx, noise, bw = (_parse_float(source, ln, a, f"user {name}") for a, name in zip(args, _USER_VALUES))
-        parsed_users.append(_build(source, ln, GroundUser, Position3(x, y, 0.0), tx, noise, bw))
+        x, y, tx, noise, bw = (_parse(source, ln, a, f"user {name}") for a, name in zip(args, _USER_VALUES))
+        parsed_users.append(_build(source, ln, lambda: GroundUser(Position3(x, y, 0.0), tx, noise, bw)))
 
     try:
         return EnvConfig(

@@ -3,11 +3,15 @@ Q-table baselines, plus the schedule and rollout helpers."""
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qirl_uav.agents import (
+    MAX_EXPONENT,
     MIN_TEMPERATURE,
     ExplorationSchedule,
     _apply_floor,
@@ -26,8 +30,9 @@ from qirl_uav.agents import (
     value_table,
 )
 from qirl_uav.gridworld import Action, StepOutcome
+from qirl_uav.harness import make_rng, train
 
-from conftest import make_uniform_env
+from conftest import make_uniform_env, small_channel_envs
 
 
 def rng_of(seed: int) -> np.random.Generator:
@@ -76,6 +81,48 @@ def test_qirl_config_validation():
         QiRLConfig(p_floor=-0.001)
     with pytest.raises(ValueError):
         QiRLConfig(alpha_decay=-1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        QiRLConfig().k_plus = math.nan  # frozen: no rule is bypassed after construction
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "make, complaint",
+    [
+        (lambda v: QiRLConfig(alpha=v), "alpha must lie in"),
+        (lambda v: QiRLConfig(k_plus=v), "k_plus must be positive and finite"),
+        (lambda v: QiRLConfig(k_minus=v), "k_minus must be negative and finite"),
+        (lambda v: QiRLConfig(reward_scale=v), "reward_scale must be positive and finite"),
+        (lambda v: QiRLConfig(exponent_clamp=v), "exponent_clamp must lie in"),
+        (lambda v: QiRLConfig(p_floor=v), "p_floor must lie in"),
+        (lambda v: QiRLConfig(alpha_decay=v), "alpha_decay must be non-negative and finite"),
+        (lambda v: ExplorationSchedule("epsilon_greedy", v, 0.9, 0.05), "initial must be non-negative and finite"),
+        (lambda v: ExplorationSchedule("epsilon_greedy", 1.0, v, 0.05), "decay must lie in"),
+        (lambda v: ExplorationSchedule("epsilon_greedy", 1.0, 0.9, v), "floor must be at least"),
+        (lambda v: ExplorationSchedule("boltzmann", 1.0, 0.9, v), "floor must be at least"),
+    ],
+    ids=[
+        "alpha", "k_plus", "k_minus", "reward_scale", "exponent_clamp", "p_floor", "alpha_decay",
+        "initial", "decay", "epsilon floor", "boltzmann floor",
+    ],
+)
+def test_every_float_knob_refuses_nan_and_infinity(make, complaint, value):
+    with pytest.raises(ValueError, match=complaint):
+        make(value)
+
+
+def test_exponent_clamp_is_bounded_so_the_factor_stays_finite():
+    assert math.isfinite(math.exp(QiRLConfig(exponent_clamp=MAX_EXPONENT).exponent_clamp))
+    with pytest.raises(ValueError, match=r"exponent_clamp must lie in \(0, 709.78\]"):
+        QiRLConfig(exponent_clamp=math.nextafter(MAX_EXPONENT, math.inf))
+    # the largest clamp on the largest exponent still leaves a probability-shaped row
+    values, prefs = np.zeros(2), preference_table(2)
+    cfg = cfg_unit_scale(k_plus=1e308, k_minus=-1e308, exponent_clamp=MAX_EXPONENT)
+    qirl_update(values, prefs, 0, 2, 1e300, 1, False, cfg)  # factor exp(clamp)
+    assert prefs[0].sum() == pytest.approx(1.0) and prefs[0, 2] == pytest.approx(1.0)
+    assert prefs[0].min() > 0.0
+    qirl_update(values, prefs, 0, 2, 1e300, 1, True, cfg)  # punished: exp(-clamp) on the entry near 1
+    assert prefs[0].sum() == pytest.approx(1.0) and prefs[0].min() > 0.0
 
 
 def test_alpha_decay_schedule():
@@ -105,6 +152,20 @@ def test_default_schedules():
     assert (eps.kind, eps.initial, eps.decay, eps.floor) == ("epsilon_greedy", 1.0, 0.995, 0.01)
     boltz = default_boltzmann_schedule(10.0)
     assert (boltz.kind, boltz.initial, boltz.floor) == ("boltzmann", 10.0, 0.1)
+    assert default_epsilon_schedule(decay=0.5) == dataclasses.replace(eps, decay=0.5)
+    assert default_boltzmann_schedule(10.0, floor=0.5) == dataclasses.replace(boltz, floor=0.5)
+
+
+def test_weak_field_needs_a_boltzmann_floor_override():
+    # 1% of a 2e-13 bonus is under MIN_TEMPERATURE: the default floor is refused by name,
+    # while a valid override is checked alone and accepted
+    with pytest.raises(ValueError, match=r"default Boltzmann floor \(1% of terminal bonus 2e-13\).*--explore-floor"):
+        default_boltzmann_schedule(2e-13)
+    assert default_boltzmann_schedule(2e-13, floor=1e-6).floor == 1e-6
+    with pytest.raises(ValueError, match="floor must be at least 1e-12"):
+        default_boltzmann_schedule(2e-13, floor=1e-13)  # an override is reported as given
+    with pytest.raises(ValueError, match="decay must lie in"):
+        default_boltzmann_schedule(2e-13, decay=2.0)  # another field's error is not the floor's
 
 
 # ---------------------------------------------------------------- selection
@@ -125,13 +186,6 @@ def test_qirl_select_consumes_one_uniform():
     qirl_select(prefs, 0, a)
     b.random()
     assert a.random() == b.random()
-
-
-def test_qirl_select_rejects_unnormalized_row():
-    prefs = preference_table(1)
-    prefs[0, 0] = 0.5  # row now sums to 1.25
-    with pytest.raises(ValueError):
-        qirl_select(prefs, 0, rng_of(2))
 
 
 def test_qirl_select_distribution():
@@ -229,9 +283,9 @@ def test_td_step_worked_example():
 
 
 def test_zero_learning_rate_freezes_values():
-    # the constructor rejects alpha=0, but the update math must honor it
+    # the constructor rejects alpha=0 and the config is frozen, but the update math must honor it
     cfg = cfg_unit_scale()
-    cfg.alpha = 0.0
+    object.__setattr__(cfg, "alpha", 0.0)
     values = np.array([0.3, 1.0])
     prefs = preference_table(2)
     qirl_update(values, prefs, 0, 2, 0.5, 1, False, cfg)
@@ -467,3 +521,31 @@ def test_greedy_rollout_truncates_non_terminating_policy():
     assert not rollout.reached_terminal
     assert len(rollout.rewards) == env.max_steps
     assert rollout.total_return == 2.0  # two moves up, then two rebounds
+
+
+M = sys.float_info.max
+
+
+@st.composite
+def accepted_qirl_configs(draw):
+    """Any QiRLConfig the constructor takes, extremes included: k, reward_scale
+    and alpha_decay from the smallest to the largest double, the largest clamp."""
+    positive = st.floats(0.0, M, exclude_min=True)
+    return QiRLConfig(
+        alpha=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        k_plus=draw(positive),
+        k_minus=-draw(positive),
+        reward_scale=draw(st.none() | positive),
+        exponent_clamp=draw(st.floats(0.0, MAX_EXPONENT, exclude_min=True)),
+        p_floor=draw(st.floats(0.0, 0.01)),
+        alpha_decay=draw(st.floats(0.0, M)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_channel_envs(max_budget=12), accepted_qirl_configs(), st.integers(0, 2**32))
+def test_accepted_configs_keep_every_preference_row_on_the_simplex(env, cfg, seed):
+    """qirl_select does not re-check rows: every accepted knob with a finite
+    field must keep each row summing to 1 and at or above the floor, which
+    train's check_invariants audits after every update."""
+    train(env, QiRLAgent(env, cfg), 20, make_rng(seed), check_invariants=True)

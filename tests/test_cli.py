@@ -289,6 +289,7 @@ def test_step_budget_beyond_the_planner_cap_is_config_error(tmp_path, capsys):
 
 
 INFINITE_FIELD = "user 0 0 1e300 1e-300 1e6"  # every cell rate overflows to inf
+WEAK_FIELD = "user 1e5 0 1 1 1"  # a terminal bonus of about 2e-13
 REFUSED_INPUTS = {
     "qirl-infinite-field": ("qirl", INFINITE_FIELD, (), "reward field is not finite"),
     "ql_eps-infinite-field": ("ql_eps", INFINITE_FIELD, (), "reward field is not finite"),
@@ -299,6 +300,14 @@ REFUSED_INPUTS = {
     "ql_eps-alpha-0": ("ql_eps", None, ("--alpha", "0"), "alpha must lie in (0, 1]"),
     "ql_eps-gamma-1.5": ("ql_eps", None, ("--gamma", "1.5"), "gamma must lie in [0, 1]"),
     "ql_eps-explore-decay-1.5": ("ql_eps", None, ("--explore-decay", "1.5"), "decay must lie in (0, 1]"),
+    "qirl-exponent-clamp-1000": (
+        "qirl", None, ("--k-plus", "1e4", "--exponent-clamp", "1000"), "exponent_clamp must lie in (0, 709.78]"
+    ),
+    "qirl-penalty-1e308": ("qirl", "uniform_reward 1.0\nboundary_penalty -1e308", (), "reward field is not finite"),
+    "ql_boltz-weak-field": (
+        "ql_boltz", WEAK_FIELD, (),
+        "floor (1% of terminal bonus 2.05019e-13) is below 1e-12: set one with --explore-floor",
+    ),
 }
 
 
@@ -336,6 +345,50 @@ def test_bad_input_is_refused_before_any_plan_or_training(
     assert complaint in capsys.readouterr().err
     assert not out.exists()
     assert calls == []
+
+
+def _float_options_of_run() -> list[tuple[str, str]]:
+    """(agent, flag) for every float option of `run`, each with an agent that takes it."""
+    run_parser = cli._build_parser()._subparsers._group_actions[0].choices["run"]
+    cases = []
+    for action in run_parser._actions:
+        if action.type is float:
+            if action.dest in cli._QIRL_KNOBS:
+                agents = ("qirl",)
+            elif action.dest in cli._BASELINE_KNOBS:
+                agents = ("ql_eps", "ql_boltz")
+            else:
+                agents = harness.AGENT_KINDS
+            cases += [(agent, action.option_strings[0]) for agent in agents]
+    return cases
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("agent, flag", _float_options_of_run())
+def test_float_flag_refuses_nan_and_infinity(tmp_path, capsys, monkeypatch, agent, flag, value):
+    """Every float flag meets its config dataclass's rule: exit 1 with an
+    error line, no output and no training. `--flag=-inf` is the form argparse
+    reads as a value rather than an option."""
+    calls = count_plans_and_training(monkeypatch)
+    out = tmp_path / "x"
+    code = run_cli(
+        "run", "--config", TINY, "--agent", agent,
+        "--episodes", "5", "--seeds", "0", "--out", str(out), f"{flag}={value}",
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+    assert calls == []
+
+
+def test_weak_field_trains_with_a_boltzmann_floor_override(tmp_path):
+    """The override is applied before the schedule is checked, so the default
+    floor that the field is too weak for is never built."""
+    layout = tmp_path / "weak.txt"
+    layout.write_text(TINY_LAYOUT.read_text().replace("uniform_reward 1.0", WEAK_FIELD))
+    argv = ["--config", str(layout), "--agent", "ql_boltz", "--episodes", "5", "--seeds", "0"]
+    assert run_cli("run", *argv, "--out", str(tmp_path / "x"), "--explore-floor", "1e-6") == EXIT_OK
 
 
 def test_oracle_refuses_a_field_that_is_not_finite(tmp_path, capsys, monkeypatch):

@@ -217,7 +217,42 @@ def test_build_refuses_rewards_that_are_not_finite():
         build(_config(users=(loud,), uniform_reward=None))
     with pytest.raises(ValueError, match="not finite"):
         build(_config(uniform_reward=1e308))
-    assert build(_config(uniform_reward=1e307)).terminal_bonus == 1e308
+    # nor may any return over the step budget: 4 moves paying a 1e308 bonus, or a -1e308 penalty, overflow
+    with pytest.raises(ValueError, match="not finite: terminal bonus .* times max_steps 4"):
+        build(_config(uniform_reward=1e307))
+    with pytest.raises(ValueError, match="penalty -1e[+]308"):
+        build(_config(boundary_penalty=-1e308))
+    assert build(_config(uniform_reward=4e306)).terminal_bonus == 10 * 4e306
+    assert build(_config(boundary_penalty=-4e307)).boundary_penalty == -4e307
+
+
+GROUND_USER = GroundUser(Position3(10, 10, 0), 1.0, 1.0, 2e6)
+FLOAT_FIELDS = [
+    (lambda v: dataclasses.replace(GROUND_USER, tx_power=v), "user tx_power must be positive and finite"),
+    (lambda v: dataclasses.replace(GROUND_USER, noise_power=v), "user noise_power must be positive and finite"),
+    (lambda v: dataclasses.replace(GROUND_USER, bandwidth=v), "user bandwidth must be positive and finite"),
+    (lambda v: GridSpec(3, 3, v, (10.0, 10.0), 100.0), "cell_size must be positive and finite"),
+    (lambda v: GridSpec(3, 3, 20.0, (v, 10.0), 100.0), "origin must be finite"),
+    (lambda v: GridSpec(3, 3, 20.0, (10.0, v), 100.0), "origin must be finite"),
+    (lambda v: GridSpec(3, 3, 20.0, (10.0, 10.0), v), "altitude must be positive and finite"),
+    (lambda v: _config(total_bandwidth=v), "total bandwidth must be positive and finite"),
+    (lambda v: _config(uniform_reward=v), "uniform_reward must be positive and finite"),
+    (lambda v: _config(boundary_penalty=v), "boundary_penalty must be <= 0 and finite"),
+]
+FLOAT_FIELD_IDS = [
+    "GroundUser.tx_power", "GroundUser.noise_power", "GroundUser.bandwidth", "GridSpec.cell_size",
+    "GridSpec.origin x", "GridSpec.origin y", "GridSpec.altitude", "EnvConfig.total_bandwidth",
+    "EnvConfig.uniform_reward", "EnvConfig.boundary_penalty",
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make, complaint", FLOAT_FIELDS, ids=FLOAT_FIELD_IDS)
+def test_every_float_field_refuses_nan_and_infinity(make, complaint, value):
+    """The dataclass that holds a value is its one rule, for a Python caller
+    as for a layout line."""
+    with pytest.raises(ValueError, match=complaint):
+        make(value)
 
 
 def test_env_config_rejects_oversubscribed_bandwidth():
