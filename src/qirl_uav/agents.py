@@ -27,8 +27,7 @@ class QiRLConfig:
     alpha_decay is the c in alpha_k = alpha / (1 + c*k) over the update count,
     which satisfies the usual stochastic-approximation step-size conditions.
 
-    Every rule refuses NaN and infinity, and exponent_clamp <= MAX_EXPONENT,
-    so rows stay on the simplex. Frozen: no rule is bypassed after construction.
+    Every rule refuses NaN and infinity; frozen, so none is bypassed later.
     """
 
     alpha: float = 0.1
@@ -116,7 +115,7 @@ def q_table(n_states: int) -> np.ndarray:
 
 def qirl_select(prefs: np.ndarray, state: int, rng: np.random.Generator) -> int:
     """Collapse the state's action distribution through quantum.sample_index;
-    one uniform consumed. The row is not re-checked (see QiRLConfig)."""
+    one uniform consumed; qirl_update keeps the row on the simplex."""
     return sample_index(prefs[state].tolist(), rng)
 
 
@@ -163,7 +162,7 @@ def qirl_update(
     cut: bool = False,
 ) -> None:
     """One undiscounted TD(0) value step plus one multiplicative preference
-    step, in place; GridWorld has already refused a non-finite reward.
+    step, in place; a value that overflows is refused, so every row sums to 1.
 
     The TD error is computed before the value write. The reinforcement factor
     exp(clamp(k * (reward + V(next_state)) / reward_scale)) reads the value
@@ -186,9 +185,12 @@ def qirl_update(
     v_state = float(values[state])
     v_next = float(values[next_state])
     delta = reward + (0.0 if cut else v_next) - v_state
-    values[state] = v_state + alpha * delta
+    v_new = v_state + alpha * delta
+    if not -math.inf < v_new < math.inf:
+        raise ValueError(f"value of state {state} overflowed to {v_new!r}: the field's returns are too large to learn")
+    values[state] = v_new
     if next_state == state:  # rebound: the factor reads the value just written
-        v_next = v_state + alpha * delta
+        v_next = v_new
     k = cfg.k_minus if (boundary_hit or delta < 0.0) else cfg.k_plus
     exponent = k * (reward + v_next) / cfg.reward_scale
     exponent = min(max(exponent, -cfg.exponent_clamp), cfg.exponent_clamp)

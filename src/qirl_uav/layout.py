@@ -50,12 +50,18 @@ def _fail(source: str, line_no: int, message: str) -> None:
     raise LayoutError(f"{source}, line {line_no}: {message}")
 
 
-def _parse(source: str, line_no: int, token: str, field: str, kind=float):
-    """token as a float, or with kind=int an integer; the dataclasses check the value."""
+def _parse_float(source: str, line_no: int, token: str, field: str) -> float:
     try:
-        return kind(token)
+        return float(token)
     except ValueError:
-        _fail(source, line_no, f"{field} must be {'an integer' if kind is int else 'a number'}, got {token!r}")
+        _fail(source, line_no, f"{field} must be a number, got {token!r}")
+
+
+def _parse_int(source: str, line_no: int, token: str, field: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        _fail(source, line_no, f"{field} must be an integer, got {token!r}")
 
 
 def _build(source: str, line_no: int, make, *args):
@@ -103,18 +109,18 @@ def parse_layout(path: str | Path, data: bytes | None = None) -> EnvConfig:
             _fail(source, line_no, f"{key} takes {count} value(s), got {len(args)}")
         return args, line_no
 
-    def scalar(key: str, kind=float):
+    def scalar(key: str, parse=_parse_float):
         args, line_no = take(key, 1)
-        return _parse(source, line_no, args[0], key, kind)
+        return parse(source, line_no, args[0], key)
 
     args, ln = take("grid", 2)
-    n1, n2 = (_parse(source, ln, a, "grid size", int) for a in args)
+    n1, n2 = (_parse_int(source, ln, a, "grid size") for a in args)
     cell_size = scalar("cell_size")
     altitude = scalar("altitude")
     if "origin" in fields:
         args, ln = take("origin", 2)
-        ox = _parse(source, ln, args[0], "origin x")
-        oy = _parse(source, ln, args[1], "origin y")
+        ox = _parse_float(source, ln, args[0], "origin x")
+        oy = _parse_float(source, ln, args[1], "origin y")
     else:
         ox = oy = cell_size / 2.0
     carrier = _build(source, fields["carrier_freq"][1], CarrierConfig, scalar("carrier_freq"))
@@ -122,14 +128,14 @@ def parse_layout(path: str | Path, data: bytes | None = None) -> EnvConfig:
     cells = {}
     for key in ("start", "terminal"):
         args, ln = take(key, 2)
-        cells[key] = (_parse(source, ln, args[0], f"{key} i", int), _parse(source, ln, args[1], f"{key} j", int))
-    max_steps = scalar("max_steps", int)
+        cells[key] = (_parse_int(source, ln, args[0], f"{key} i"), _parse_int(source, ln, args[1], f"{key} j"))
+    max_steps = scalar("max_steps", _parse_int)
     uniform_reward = scalar("uniform_reward") if "uniform_reward" in fields else None
     boundary_penalty = scalar("boundary_penalty") if "boundary_penalty" in fields else 0.0
 
     parsed_users = []
     for args, ln in users:
-        x, y, tx, noise, bw = (_parse(source, ln, a, f"user {name}") for a, name in zip(args, _USER_VALUES))
+        x, y, tx, noise, bw = (_parse_float(source, ln, a, f"user {name}") for a, name in zip(args, _USER_VALUES))
         parsed_users.append(_build(source, ln, lambda: GroundUser(Position3(x, y, 0.0), tx, noise, bw)))
 
     try:

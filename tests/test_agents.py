@@ -293,6 +293,20 @@ def test_zero_learning_rate_freezes_values():
     assert prefs[0, 2] > 0.25  # the preference step still happens
 
 
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["-inf", "inf"])
+def test_value_that_overflows_is_refused_before_it_is_written(sign):
+    """A rebound paying the largest double from a value of the largest double
+    leaves the float range; the update raises, naming the state, and leaves
+    both tables as they were."""
+    v_state = reward = sign * sys.float_info.max
+    values = np.array([v_state, 0.0])
+    prefs = preference_table(2)
+    with pytest.raises(ValueError, match="value of state 0 overflowed to"):
+        qirl_update(values, prefs, 0, 1, reward, 0, True, cfg_unit_scale(alpha=1.0))
+    assert values.tolist() == [v_state, 0.0]
+    assert (prefs == 0.25).all()
+
+
 def test_td_converges_on_deterministic_chain():
     """Replaying a fixed 0 -> 1 -> 2 path drives values to the remaining returns."""
     values = value_table(3)
@@ -545,7 +559,7 @@ def accepted_qirl_configs(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_channel_envs(max_budget=12), accepted_qirl_configs(), st.integers(0, 2**32))
 def test_accepted_configs_keep_every_preference_row_on_the_simplex(env, cfg, seed):
-    """qirl_select does not re-check rows: every accepted knob with a finite
-    field must keep each row summing to 1 and at or above the floor, which
-    train's check_invariants audits after every update."""
+    """qirl_select does not re-check rows: every accepted knob, on a field
+    whose values stay finite, must keep each row summing to 1 and at or above
+    the floor, which train's check_invariants audits after every update."""
     train(env, QiRLAgent(env, cfg), 20, make_rng(seed), check_invariants=True)

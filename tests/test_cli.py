@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output wiring, and exit codes."""
 
+import argparse
 import json
 
 import pytest
@@ -303,7 +304,6 @@ REFUSED_INPUTS = {
     "qirl-exponent-clamp-1000": (
         "qirl", None, ("--k-plus", "1e4", "--exponent-clamp", "1000"), "exponent_clamp must lie in (0, 709.78]"
     ),
-    "qirl-penalty-1e308": ("qirl", "uniform_reward 1.0\nboundary_penalty -1e308", (), "reward field is not finite"),
     "ql_boltz-weak-field": (
         "ql_boltz", WEAK_FIELD, (),
         "floor (1% of terminal bonus 2.05019e-13) is below 1e-12: set one with --explore-floor",
@@ -349,7 +349,8 @@ def test_bad_input_is_refused_before_any_plan_or_training(
 
 def _float_options_of_run() -> list[tuple[str, str]]:
     """(agent, flag) for every float option of `run`, each with an agent that takes it."""
-    run_parser = cli._build_parser()._subparsers._group_actions[0].choices["run"]
+    (subcommands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    run_parser = subcommands.choices["run"]
     cases = []
     for action in run_parser._actions:
         if action.type is float:
@@ -360,6 +361,7 @@ def _float_options_of_run() -> list[tuple[str, str]]:
             else:
                 agents = harness.AGENT_KINDS
             cases += [(agent, action.option_strings[0]) for agent in agents]
+    assert len(cases) >= 11, "the run parser's float options were not found"
     return cases
 
 
@@ -380,6 +382,32 @@ def test_float_flag_refuses_nan_and_infinity(tmp_path, capsys, monkeypatch, agen
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
     assert calls == []
+
+
+MAX_FLOAT = 1.7976931348623157e308
+OVERFLOWING_FIELDS = {
+    "penalty-1e308": ("uniform_reward 1.0\nboundary_penalty -1e308", ()),
+    "penalty-max-over-40": (f"uniform_reward 1.0\nboundary_penalty {-MAX_FLOAT / 40!r}", ("--alpha", "1.0")),
+}
+
+
+@pytest.mark.parametrize("field, flags", list(OVERFLOWING_FIELDS.values()), ids=list(OVERFLOWING_FIELDS))
+def test_qirl_value_that_overflows_is_config_error(tmp_path, capsys, field, flags):
+    """A finite field can still drive a learned value past the float range,
+    here through repeated rebounds; the learner refuses it at the write, so
+    the run exits 1 naming the value, rather than finishing on NaN rows."""
+    layout = tmp_path / "layout.txt"
+    text = TINY_LAYOUT.read_text().replace("max_steps 4", "max_steps 40")
+    layout.write_text(text.replace("uniform_reward 1.0", field))
+    out = tmp_path / "x"
+    code = run_cli(
+        "run", "--config", str(layout), "--agent", "qirl",
+        "--episodes", "300", "--seeds", "0,1", "--out", str(out), *flags,
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: value of state 0 overflowed to -inf") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_weak_field_trains_with_a_boltzmann_floor_override(tmp_path):
