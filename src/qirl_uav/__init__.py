@@ -19,7 +19,7 @@ from .agents import (
     ql_update,
     value_table,
 )
-from .channel import CarrierConfig, GroundUser, Position3, path_loss_db, snr, sum_rate
+from .channel import CarrierConfig, GroundUser, Position3, path_loss_db, rate_field, snr, sum_rate
 from .gridworld import Action, EnvConfig, GridSpec, GridWorld, StepOutcome, build, manhattan
 from .harness import (
     ConvergenceMetric,

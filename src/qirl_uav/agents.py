@@ -15,6 +15,7 @@ from .quantum import sample_index
 
 MIN_TEMPERATURE = 1e-12
 MAX_EXPONENT = math.log(sys.float_info.max)  # ~709.78: exp(clamp) is finite, a row's max times exp(-clamp) > 0
+_NEG_INF, _INF = -math.inf, math.inf  # so a learner's per-step value check is one chained comparison
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def qirl_update(
     v_next = float(values[next_state])
     delta = reward + (0.0 if cut else v_next) - v_state
     v_new = v_state + alpha * delta
-    if not -math.inf < v_new < math.inf:
+    if not _NEG_INF < v_new < _INF:
         raise ValueError(f"value of state {state} overflowed to {v_new!r}: the field's returns are too large to learn")
     values[state] = v_new
     if next_state == state:  # rebound: the factor reads the value just written
@@ -243,13 +244,17 @@ def ql_update(
     gamma: float,
     terminal: bool = False,
 ) -> None:
-    """Standard Q-learning backup; GridWorld has already refused a non-finite reward.
+    """Standard Q-learning backup; a Q value that overflows is refused before it is written.
 
     terminal covers any episode-ending transition (terminal entry or budget
     cut): those bootstrap from 0 instead of max Q(next)."""
     bootstrap = 0.0 if terminal else max(q[next_state].tolist())
     old = float(q[state, action])
-    q[state, action] = old + alpha * (reward + gamma * bootstrap - old)
+    new = old + alpha * (reward + gamma * bootstrap - old)
+    if not _NEG_INF < new < _INF:
+        message = f"Q value of state {state}, action {action} overflowed to {new!r}"
+        raise ValueError(f"{message}: the field's returns are too large to learn")
+    q[state, action] = new
 
 
 class QiRLAgent:

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import CarrierConfig, GroundUser, Position3, sum_rate
+from .channel import CarrierConfig, GroundUser, Position3, rate_field
 
 TERMINAL_BONUS_FACTOR = 10.0
 
@@ -128,8 +128,9 @@ class GridWorld:
     reward; entering the terminal cell pays the bonus (10x the max cell
     reward) instead and ends the episode. Moves off the grid rebound: same
     state, boundary penalty (default 0), episode continues. Every move is
-    read from `transitions`, the one table that `step` and the planners
-    share. A field or terminal bonus that is not finite is refused here.
+    read from `transition_model`, the one model that the planner reads as
+    arrays and `step` as objects. A field or terminal bonus that is not
+    finite is refused here.
     """
 
     def __init__(self, config: EnvConfig):
@@ -143,10 +144,11 @@ class GridWorld:
         self.terminal_state = self.state_of(*config.terminal_cell)
         if config.uniform_reward is not None:
             self.rewards = np.full(self.n_states, float(config.uniform_reward))
-        else:
-            self.rewards = np.empty(self.n_states)
-            for s in range(self.n_states):
-                self.rewards[s] = sum_rate(self.cell_center(s), config.users, config.carrier)
+        else:  # at the cell centers; rates[j, i] ravels to state j * n1 + i
+            grid = config.grid
+            xs = [grid.origin[0] + i * grid.cell_size for i in range(self.n1)]
+            ys = [grid.origin[1] + j * grid.cell_size for j in range(self.n2)]
+            self.rewards = rate_field(xs, ys, grid.altitude, config.users, config.carrier).ravel()
         self.terminal_bonus = TERMINAL_BONUS_FACTOR * float(self.rewards.max())
         if not (np.isfinite(self.rewards).all() and np.isfinite(self.terminal_bonus)):
             raise ValueError(f"reward field is not finite: terminal bonus (10x its maximum) {self.terminal_bonus!r}")
@@ -167,30 +169,34 @@ class GridWorld:
         return Position3(ox + i * size, oy + j * size, self.config.grid.altitude)
 
     @cached_property
+    def transition_model(self) -> tuple[np.ndarray, np.ndarray]:
+        """(next_state, reward), two read-only (n_states, 4) arrays built from
+        the reward row on first use. A move off the grid stays put and pays the
+        boundary penalty; entering the terminal cell pays the bonus. The
+        terminal row is absorbing, a zero-reward self-loop that `step` never
+        returns."""
+        states = np.arange(self.n_states)[:, None]
+        di, dj = np.array(ACTION_DELTAS).T
+        ti, tj = states % self.n1 + di, states // self.n1 + dj
+        inside = (0 <= ti) & (ti < self.n1) & (0 <= tj) & (tj < self.n2)
+        nxt = np.where(inside, tj * self.n1 + ti, states)
+        reward = np.where(inside, self.rewards[nxt], self.boundary_penalty)
+        reward[nxt == self.terminal_state] = self.terminal_bonus
+        nxt[self.terminal_state], reward[self.terminal_state] = self.terminal_state, 0.0
+        nxt.flags.writeable = reward.flags.writeable = False  # shared by every reader
+        return nxt, reward
+
+    @cached_property
     def transitions(self) -> tuple[tuple[StepOutcome, ...], ...]:
-        """transitions[state][action]: the outcome of every move, built on
-        first use (the planner is its first reader; building it in `build`
-        would charge every env construction). The terminal row is absorbing,
-        a zero-reward self-loop that `step` never returns."""
-        n1, n2 = self.n1, self.n2
-        rewards = self.rewards.tolist()
-        table = []
-        for s in range(self.n_states):
-            if s == self.terminal_state:
-                table.append((StepOutcome(s, 0.0, False, True),) * N_ACTIONS)
-                continue
-            i, j = s % n1, s // n1
-            row = []
-            for di, dj in ACTION_DELTAS:
-                ti, tj = i + di, j + dj
-                if not (0 <= ti < n1 and 0 <= tj < n2):
-                    row.append(StepOutcome(s, self.boundary_penalty, True, False))
-                elif (nxt := tj * n1 + ti) == self.terminal_state:
-                    row.append(StepOutcome(nxt, self.terminal_bonus, False, True))
-                else:
-                    row.append(StepOutcome(nxt, rewards[nxt], False, False))
-            table.append(tuple(row))
-        return tuple(table)
+        """transitions[state][action]: `transition_model` as the StepOutcome
+        objects that `step` returns, built on first use. A move rebounds when
+        it stays put outside the terminal row, and ends the episode when it
+        lands on the terminal cell."""
+        states = np.arange(self.n_states)[:, None]
+        nxt, reward = self.transition_model
+        columns = (nxt, reward, (nxt == states) & (states != self.terminal_state), nxt == self.terminal_state)
+        outcomes = map(StepOutcome, *(column.ravel().tolist() for column in columns))
+        return tuple(zip(*[outcomes] * N_ACTIONS))  # one shared iterator: consecutive rows of N_ACTIONS
 
     def step(self, state: int, action: int) -> StepOutcome:
         """Deterministic transition. Stepping from the terminal cell is a

@@ -29,16 +29,16 @@ def dp_optimal(env: GridWorld, horizon: int | None = None) -> DPResult:
     The value of s with t steps left is the largest reward + value of the
     next state with t - 1 steps left over the four moves; the terminal state
     is absorbing at 0 once its entry bonus has been paid, and rebounds are
-    modeled like any other transition. Both come from `env.transitions`, the
-    table `env.step` reads. With gamma = 1 the horizon index is what makes
-    the recursion exact. Only the current value row is kept; each step's
-    decision rule goes into a uint8 policy of horizon x n_states bytes, with
-    ties going to the first maximum in fixed action order (`np.argmax`).
-    The optimal path is replayed forward from that policy; the reported
-    return is the forward sum along that path, so it is bit-identical to
-    what a brute-force enumerator accumulates for the same path (backward
-    induction associates the same additions in the opposite order, which
-    can differ in the last ulp).
+    modeled like any other transition. Both come from `env.transition_model`,
+    the arrays behind the outcomes `env.step` returns. With gamma = 1 the
+    horizon index is what makes the recursion exact. Only the current value
+    row is kept; each step's decision rule goes into a uint8 policy of
+    horizon x n_states bytes, with ties going to the first maximum in fixed
+    action order (`np.argmax`). The optimal path is replayed forward from
+    that policy; the reported return is the forward sum along that path, so
+    it is bit-identical to what a brute-force enumerator accumulates for the
+    same path (backward induction associates the same additions in the
+    opposite order, which can differ in the last ulp).
 
     horizon defaults to the environment's step budget; pass a smaller value
     to probe returns under tighter budgets (EnvConfig itself never admits a
@@ -51,8 +51,7 @@ def dp_optimal(env: GridWorld, horizon: int | None = None) -> DPResult:
         raise ValueError("horizon must be non-negative")
     if h * env.n_states > MAX_PLAN_CELLS:
         raise ValueError(f"horizon {h} x {env.n_states} cells exceeds the planner cap of {MAX_PLAN_CELLS} cells")
-    nxt = np.array([[out.next_state for out in row] for row in env.transitions])
-    rew = np.array([[out.reward for out in row] for row in env.transitions], dtype=float)
+    nxt, rew = env.transition_model
     row_starts = np.arange(env.n_states) * N_ACTIONS  # each state's first entry in candidates.ravel()
     policy = np.empty((h, env.n_states), np.uint8)  # policy[t - 1][s]: the move from s with t steps left
     best = np.zeros(env.n_states)

@@ -307,6 +307,19 @@ def test_value_that_overflows_is_refused_before_it_is_written(sign):
     assert (prefs == 0.25).all()
 
 
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["-inf", "inf"])
+def test_q_value_that_overflows_is_refused_before_it_is_written(sign):
+    """The baselines' backup has the same guard: the largest double plus a
+    bootstrap of the largest double raises, naming state and action, and
+    leaves the Q table as it was."""
+    q = q_table(2)
+    q[1] = sign * sys.float_info.max
+    before = q.copy()
+    with pytest.raises(ValueError, match="Q value of state 0, action 2 overflowed to"):
+        ql_update(q, 0, 2, sign * sys.float_info.max, 1, alpha=1.0, gamma=1.0)
+    assert q.tobytes() == before.tobytes()
+
+
 def test_td_converges_on_deterministic_chain():
     """Replaying a fixed 0 -> 1 -> 2 path drives values to the remaining returns."""
     values = value_table(3)

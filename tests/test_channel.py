@@ -64,6 +64,12 @@ def test_snr_is_zero_once_the_linear_loss_overflows():
     assert sum_rate(Position3(0.0, 0.0, 100.0), (unit_user(1e200),), CARRIER_2GHZ) == 0.0
 
 
+def test_snr_is_infinite_once_the_linear_loss_underflows():
+    # 1e-200 m is about -3961 dB: 10 ** (loss / 10) underflows to 0.0
+    assert snr(path_loss_db(1e-200, CARRIER_2GHZ), unit_user()) == math.inf
+    assert sum_rate(Position3(0.0, 0.0, 1e-200), (unit_user(),), CARRIER_2GHZ) == math.inf
+
+
 def test_single_user_rate_reference_point():
     uav = Position3(0.0, 0.0, 100.0)
     rate = sum_rate(uav, (unit_user(),), CARRIER_2GHZ)

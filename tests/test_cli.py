@@ -410,6 +410,62 @@ def test_qirl_value_that_overflows_is_config_error(tmp_path, capsys, field, flag
     assert not out.exists()
 
 
+def test_ql_value_that_overflows_is_config_error(tmp_path, capsys):
+    """Every cell and the bonus are finite, but the undiscounted bootstrap on
+    loops drives Q past the float range; ql_update refuses the value at the
+    write, so the run exits 1 naming it instead of dying on a NaN row."""
+    layout = tmp_path / "layout.txt"
+    text = TINY_LAYOUT.read_text().replace("max_steps 4", "max_steps 40")
+    layout.write_text(text.replace("uniform_reward 1.0", f"uniform_reward {0.999 * MAX_FLOAT / 400!r}"))
+    out = tmp_path / "x"
+    code = run_cli(
+        "run", "--config", str(layout), "--agent", "ql_eps", "--alpha", "1.0",
+        "--episodes", "300", "--seeds", "0,1", "--out", str(out),
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: Q value of state ") and "overflowed to inf" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+FIELD_REFUSALS = {
+    "distance-overflows": (
+        {"uniform_reward 1.0": "origin -1.7e308 10\nuser 1.7e308 0 1 1 1e6"}, "distance must be positive and finite"
+    ),
+    "cell-center-overflows": (
+        {"cell_size 20": "cell_size 1.5e308", "uniform_reward 1.0": "origin 1e308 10\nuser 1e308 0 1 1 1e6"},
+        "coordinates must be finite",
+    ),
+    "distance-overflows-before-a-center-does": (
+        {
+            "cell_size 20": "cell_size 1.5e308",
+            "uniform_reward 1.0": "origin 1e308 10\nuser 1e308 0 1 1 1e6\nuser -1e308 0 1 1 1e6",
+        },
+        "distance must be positive and finite",
+    ),
+    "linear-loss-underflows": (
+        {"altitude 100": "altitude 1e-200", "uniform_reward 1.0": "origin 0 0\nuser 0 0 1 1 1e6"},
+        "reward field is not finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("edits, complaint", list(FIELD_REFUSALS.values()), ids=list(FIELD_REFUSALS))
+def test_field_that_cannot_be_computed_is_config_error(tmp_path, capsys, edits, complaint):
+    """The field refuses the first cell, in state order, whose center or
+    distance to a user is not finite, as the per-cell scalar rule did; a
+    linear loss that underflows to 0 gives an infinite SNR, so the field is
+    refused as not finite."""
+    text = TINY_LAYOUT.read_text()
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    layout = tmp_path / "layout.txt"
+    layout.write_text(text)
+    assert run_cli("oracle", "--config", str(layout)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {complaint}") and "Traceback" not in err
+
+
 def test_weak_field_trains_with_a_boltzmann_floor_override(tmp_path):
     """The override is applied before the schedule is checked, so the default
     floor that the field is too weak for is never built."""

@@ -1,13 +1,16 @@
 """Grid geometry, transition mechanics, and environment validation."""
 
 import dataclasses
+import hashlib
+import math
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qirl_uav.channel import CarrierConfig, GroundUser, Position3
+from qirl_uav.channel import CarrierConfig, GroundUser, Position3, path_loss_db, snr, sum_rate
 from qirl_uav.gridworld import (
     ACTION_DELTAS,
     N_ACTIONS,
@@ -129,13 +132,16 @@ def _bits(x: float) -> bytes:
 def assert_table_matches_geometry(env):
     """Check every move in env.transitions against coordinate arithmetic done
     here, independent of the table: state j * n1 + i, each action's unit step,
-    rebounds at the edges, and the bonus for entering the terminal cell."""
+    rebounds at the edges, and the bonus for entering the terminal cell. Then
+    check that the StepOutcome view agrees with the arrays of the transition
+    model on every entry, and that `step` returns the same object each call."""
     cfg = env.config
     n1, n2 = cfg.grid.n1, cfg.grid.n2
     terminal = cfg.terminal_cell[1] * n1 + cfg.terminal_cell[0]
     bonus = 10.0 * float(env.rewards.max())
     moves = {Action.FORWARD: (0, 1), Action.BACKWARD: (0, -1), Action.LEFT: (-1, 0), Action.RIGHT: (1, 0)}
     assert len(env.transitions) == n1 * n2
+    assert_view_matches_arrays(env, terminal)
     for j in range(n2):
         for i in range(n1):
             s = j * n1 + i
@@ -143,7 +149,7 @@ def assert_table_matches_geometry(env):
                 continue
             for action, (di, dj) in moves.items():
                 out = env.transitions[s][action]
-                assert env.step(s, action) is out
+                assert env.step(s, action) is out and env.step(s, action) is out
                 ti, tj = i + di, j + dj
                 if 0 <= ti < n1 and 0 <= tj < n2:
                     nxt = tj * n1 + ti
@@ -156,6 +162,17 @@ def assert_table_matches_geometry(env):
     assert len(env.transitions[terminal]) == N_ACTIONS
     for out in env.transitions[terminal]:
         assert (out.next_state, _bits(out.reward)) == (terminal, _bits(0.0))
+
+
+def assert_view_matches_arrays(env, terminal):
+    nxt, reward = env.transition_model
+    assert nxt.shape == reward.shape == (env.n_states, N_ACTIONS)
+    for s in range(env.n_states):
+        for a in range(N_ACTIONS):
+            out = env.transitions[s][a]
+            n = int(nxt[s, a])
+            expected = (n, _bits(float(reward[s, a])), n == s and s != terminal, n == terminal)
+            assert (out.next_state, _bits(out.reward), out.boundary_hit, out.terminal) == expected
 
 
 @pytest.mark.parametrize("penalty", [None, -0.75])
@@ -268,3 +285,118 @@ def test_build_channel_rewards_peak_under_user_cluster():
     env = make_channel_env(3, 3, [(50.0, 50.0)], max_steps=4)
     # single user under cell (2,2): that cell is closest, hence richest
     assert int(np.argmax(env.rewards)) == env.state_of(2, 2)
+
+
+def scalar_field(env):
+    """The field as the per-cell scalar formulas give it: math.dist, then
+    path_loss_db and snr, adding the users in order."""
+    cfg = env.config
+    rates = []
+    for s in range(env.n_states):
+        c = env.cell_center(s)
+        total = 0.0
+        for u in cfg.users:
+            d = math.dist((c.x, c.y, c.z), (u.position.x, u.position.y, 0.0))
+            total += u.bandwidth * math.log2(1.0 + snr(path_loss_db(d, cfg.carrier), u))
+        rates.append(total)
+    return np.array(rates)
+
+
+def assert_field_is_scalar_field(env):
+    expected = scalar_field(env)
+    assert env.rewards.tobytes() == expected.tobytes()
+    per_cell = [sum_rate(env.cell_center(s), env.config.users, env.config.carrier) for s in range(env.n_states)]
+    assert np.array(per_cell).tobytes() == expected.tobytes()
+
+
+@st.composite
+def channel_configs(draw):
+    """Grids up to 10x10 with 1-5 users anywhere from a cell center to 1e200 m
+    away, so some path losses overflow a double in linear units."""
+    n1, n2 = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    size = draw(st.floats(1e-3, 1e5))
+    origin = (draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6)))
+    on_center = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1)).map(
+        lambda ij: (origin[0] + ij[0] * size, origin[1] + ij[1] * size)
+    )
+    anywhere = st.tuples(*[st.one_of(st.floats(-1e6, 1e6), st.floats(-1e200, 1e200))] * 2)
+    powers = st.floats(1e-9, 1e9)
+    users = tuple(
+        GroundUser(Position3(x, y, 0.0), draw(powers), draw(powers), draw(st.floats(1.0, 1e7)))
+        for x, y in draw(st.lists(st.one_of(on_center, anywhere), min_size=1, max_size=5))
+    )
+    return EnvConfig(
+        grid=GridSpec(n1, n2, size, origin, draw(st.floats(1e-3, 1e5))),
+        users=users,
+        carrier=CarrierConfig(draw(st.floats(1e6, 1e11))),
+        start_cell=(0, 0),
+        terminal_cell=(n1 - 1, n2 - 1),
+        max_steps=n1 + n2,
+        total_bandwidth=2.0 * sum(u.bandwidth for u in users),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(channel_configs())
+def test_field_is_the_scalar_rate_at_every_cell_center_bit_for_bit(config):
+    assert_field_is_scalar_field(build(config))
+
+
+def test_field_bit_for_bit_with_a_user_on_a_cell_center():
+    assert_field_is_scalar_field(make_channel_env(3, 4, [(30.0, 50.0), (17.0, 3.0)], max_steps=5))
+    env = make_channel_env(3, 4, [(30.0, 50.0)], max_steps=5)  # on cell (1, 2): 100 m straight down
+    (user,) = env.config.users
+    rate = user.bandwidth * math.log2(1.0 + snr(path_loss_db(100.0, env.config.carrier), user))
+    assert env.rewards[env.state_of(1, 2)] == rate == env.rewards.max()
+
+
+def test_field_pays_nothing_where_the_path_loss_overflows(tmp_path):
+    """Cells 1e160 m apart: the user on cell (0, 0)'s center has a finite
+    linear loss there and one beyond a double everywhere else, which pays
+    SNR 0.0 for those terms alone."""
+    layout = tmp_path / "far.txt"
+    text = TINY_LAYOUT.read_text().replace("cell_size 20", "cell_size 1e160")
+    layout.write_text(text.replace("uniform_reward 1.0", "user 5e159 5e159 1 1 1e6"))
+    env = build(parse_layout(layout))
+    assert env.rewards.tolist() == [0.020517032353120686] + [0.0] * 8
+    assert_field_is_scalar_field(env)
+
+
+FIELD_16X16 = """\
+grid 16 16
+cell_size 12.5
+altitude 80
+origin 6.25 -3.1
+carrier_freq 2.4e9
+bandwidth 20e6
+start 0 15
+terminal 15 0
+max_steps 60
+user 0 0 1 1 1e6
+user 193.75 6.25 0.5 1e-3 1.5e6
+user 42.1 117.3 2 1 1e6
+user 100 100 1 1e-9 2e6
+user -40 250 1 1 1e6
+user 187.5 187.5 0.1 1 1e6
+user 3.3 190.7 5 0.2 0.5e6
+user 77.7 12.9 1 1 1e6
+user 150.25 60.75 1e-3 1e-12 2e6
+user 6.25 59.4 1 1 1e6
+user 1e4 -2e4 1 1e-15 1e6
+user 120 140 3 3 1e6
+"""
+
+
+def test_reward_fields_are_golden(tmp_path):
+    """SHA-256 of the field bytes, taken from the per-cell scalar loop that
+    the one-pass-per-user field replaced: a drifting bit fails here."""
+    layout = tmp_path / "field_16x16.txt"
+    layout.write_text(FIELD_16X16)
+    digests = {
+        path.name: hashlib.sha256(build(parse_layout(path)).rewards.tobytes()).hexdigest()
+        for path in (DESK_LAYOUT, layout)
+    }
+    assert digests == {
+        "uplink_10x10.txt": "69cccb89c2605d5384d2fb1a182e4b5a5a34feb1a139cc6dfeeb85d7106e6400",
+        "field_16x16.txt": "47a3db9e37d1ae318f316763a13e186c9abc283a36ee09aab7d6ad1acc5599d6",
+    }
