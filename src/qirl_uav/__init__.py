@@ -11,13 +11,10 @@ from .agents import (
     default_boltzmann_schedule,
     default_epsilon_schedule,
     greedy_rollout,
-    preference_table,
-    q_table,
     qirl_select,
     qirl_update,
     ql_select,
     ql_update,
-    value_table,
 )
 from .channel import CarrierConfig, GroundUser, Position3, path_loss_db, rate_field, snr, sum_rate
 from .gridworld import Action, EnvConfig, GridSpec, GridWorld, StepOutcome, build, manhattan

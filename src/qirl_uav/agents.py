@@ -100,20 +100,6 @@ def default_boltzmann_schedule(terminal_bonus: float, **overrides: float) -> Exp
         raise FieldError("floor", f"{message}: set one with --explore-floor") from None
 
 
-def value_table(n_states: int) -> np.ndarray:
-    return np.zeros(n_states)
-
-
-def preference_table(n_states: int) -> np.ndarray:
-    """Per-state action probabilities, born uniform (the |h|^2 of an equal
-    superposition)."""
-    return np.full((n_states, N_ACTIONS), 1.0 / N_ACTIONS)
-
-
-def q_table(n_states: int) -> np.ndarray:
-    return np.zeros((n_states, N_ACTIONS))
-
-
 def qirl_select(prefs: np.ndarray, state: int, rng: np.random.Generator) -> int:
     """Collapse the state's action distribution through quantum.sample_index;
     one uniform consumed; qirl_update keeps the row on the simplex."""
@@ -157,7 +143,6 @@ def qirl_update(
     action: int,
     reward: float,
     next_state: int,
-    boundary_hit: bool,
     cfg: QiRLConfig,
     update_count: int = 0,
     cut: bool = False,
@@ -166,11 +151,12 @@ def qirl_update(
     step, in place; a value that overflows is refused, so every row sums to 1.
 
     The TD error is computed before the value write. The reinforcement factor
-    exp(clamp(k * (reward + V(next_state)) / reward_scale)) reads the value
-    table after the write (it differs only on rebounds, where next == state);
-    k is k_minus when the move rebounded or the TD error is negative, else
-    k_plus. The row is read once as a list, renormalized, floored and written
-    back once.
+    exp(clamp(k * |reward + V(next_state)| / reward_scale)) reads the value
+    table after the write (it differs only on rebounds, where next == state).
+    k is k_minus on a rebound (qirl never steps from the terminal, so only a
+    move off the grid stays put) or a negative TD error, else k_plus: the
+    branch alone sets the sign. The row is read once as a list, renormalized,
+    floored and written back once.
 
     cut marks the final transition of a budget-truncated episode: the TD
     target bootstraps 0 then (as on terminal entry, whose V never leaves 0),
@@ -190,10 +176,11 @@ def qirl_update(
     if not _NEG_INF < v_new < _INF:
         raise ValueError(f"value of state {state} overflowed to {v_new!r}: the field's returns are too large to learn")
     values[state] = v_new
-    if next_state == state:  # rebound: the factor reads the value just written
-        v_next = v_new
-    k = cfg.k_minus if (boundary_hit or delta < 0.0) else cfg.k_plus
-    exponent = k * (reward + v_next) / cfg.reward_scale
+    if next_state == state:  # rebound: punished, and the factor reads the value just written
+        k, v_next = cfg.k_minus, v_new
+    else:
+        k = cfg.k_minus if delta < 0.0 else cfg.k_plus
+    exponent = k * abs(reward + v_next) / cfg.reward_scale
     exponent = min(max(exponent, -cfg.exponent_clamp), cfg.exponent_clamp)
     p = prefs[state].tolist()
     p[action] *= math.exp(exponent)
@@ -267,8 +254,8 @@ class QiRLAgent:
         if cfg.reward_scale is None:
             cfg = replace(cfg, reward_scale=env.terminal_bonus)
         self.cfg = cfg
-        self.values = value_table(env.n_states)
-        self.prefs = preference_table(env.n_states)
+        self.values = np.zeros(env.n_states)
+        self.prefs = np.full((env.n_states, N_ACTIONS), 1.0 / N_ACTIONS)  # uniform: |h|^2 of an equal superposition
         self.updates = 0
 
     def select(self, state: int, rng: np.random.Generator) -> int:
@@ -282,7 +269,6 @@ class QiRLAgent:
             action,
             outcome.reward,
             outcome.next_state,
-            outcome.boundary_hit,
             self.cfg,
             self.updates,
             cut,
@@ -304,7 +290,7 @@ class QLearningAgent:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        self.q = q_table(env.n_states)
+        self.q = np.zeros((env.n_states, N_ACTIONS))
         self.schedule = schedule
         self.alpha = alpha
         self.gamma = gamma

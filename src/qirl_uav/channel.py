@@ -25,9 +25,6 @@ class Position3:
             if not math.isfinite(v):
                 raise ValueError("coordinates must be finite")
 
-    def distance_to(self, other: "Position3") -> float:
-        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
 
 @dataclass(frozen=True)
 class GroundUser:

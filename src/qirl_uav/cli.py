@@ -16,7 +16,7 @@ from .agents import QiRLConfig
 from .gridworld import build
 from .harness import AGENT_KINDS, RunConfig, convergence_metrics, read_episodes_csv, run
 from .layout import LayoutError, parse_layout
-from .oracle import DPResult, dp_optimal
+from .oracle import dp_optimal
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -109,7 +109,9 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _print_oracle(result: DPResult, env) -> None:
+def _cmd_oracle(args) -> int:
+    env = build(parse_layout(args.config))
+    result = dp_optimal(env, args.horizon)
     print(f"optimal_return: {result.optimal_return!r}")
     print(f"path_steps: {result.horizon_used}")
     per_step = result.optimal_return / result.horizon_used if result.horizon_used else 0.0
@@ -118,11 +120,6 @@ def _print_oracle(result: DPResult, env) -> None:
     print(f"terminal_reachable: {str(result.terminal_reachable).lower()}")
     cells = " ".join(f"({i},{j})" for i, j in (env.cell_of(s) for s in result.optimal_path))
     print(f"path: {cells}")
-
-
-def _cmd_oracle(args) -> int:
-    env = build(parse_layout(args.config))
-    _print_oracle(dp_optimal(env, args.horizon), env)
     return EXIT_OK
 
 

@@ -128,7 +128,7 @@ class GridWorld:
     reward; entering the terminal cell pays the bonus (10x the max cell
     reward) instead and ends the episode. Moves off the grid rebound: same
     state, boundary penalty (default 0), episode continues. Every move is
-    read from `transition_model`, the one model that the planner reads as
+    read from `transition_model`, the one model that the planners read as
     arrays and `step` as objects. A field or terminal bonus that is not
     finite is refused here.
     """
@@ -189,9 +189,9 @@ class GridWorld:
     @cached_property
     def transitions(self) -> tuple[tuple[StepOutcome, ...], ...]:
         """transitions[state][action]: `transition_model` as the StepOutcome
-        objects that `step` returns, built on first use. A move rebounds when
-        it stays put outside the terminal row, and ends the episode when it
-        lands on the terminal cell."""
+        objects that `step`, their one reader in the package, returns; built on
+        first use. A move rebounds when it stays put outside the terminal row,
+        and ends the episode when it lands on the terminal cell."""
         states = np.arange(self.n_states)[:, None]
         nxt, reward = self.transition_model
         columns = (nxt, reward, (nxt == states) & (states != self.terminal_state), nxt == self.terminal_state)

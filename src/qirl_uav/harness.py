@@ -21,6 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .agents import (
+    _INF,
+    _NEG_INF,
     ExplorationSchedule,
     QiRLAgent,
     QiRLConfig,
@@ -94,6 +96,8 @@ class RunConfig:
             raise ValueError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ValueError("seeds must be non-negative")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -121,10 +125,11 @@ def train(
 ) -> list[EpisodeLog]:
     """Run the episodic loop: select, step, update until terminal or budget.
 
-    Every SPOT_CHECK_EVERY-th episode is replayed through the environment
-    from its recorded actions to re-verify the logged return. With
-    check_invariants, every qirl update is followed by a preference-row
-    audit (sum within 1e-9 of 1, entries at or above the floor).
+    An episode return outside the float range is refused, as the learners
+    refuse such a value. Every SPOT_CHECK_EVERY-th episode is replayed
+    through the environment from its recorded actions to re-verify the
+    logged return. With check_invariants, every qirl update is followed by a
+    preference-row audit (sum within 1e-9 of 1, entries at or above the floor).
     """
     logs = []
     is_qirl = isinstance(agent, QiRLAgent)
@@ -156,6 +161,8 @@ def train(
                 reached = True
                 break
         agent.end_episode()
+        if not _NEG_INF < total < _INF:
+            raise ValueError(f"episode {episode} return overflowed to {total!r}: the field's returns are too large")
         if actions is not None:
             replayed = _replay_return(env, actions)
             if replayed != total:

@@ -16,9 +16,12 @@ Each non-blank line is `keyword value...`; `#` starts a comment. Keywords:
     boundary_penalty R              reward on rebound, <= 0 (optional)
 
 Users may be omitted only when uniform_reward is given. This module checks
-syntax only; the config dataclasses (GridSpec, EnvConfig, GroundUser,
-Position3, CarrierConfig) check every value, finiteness included. Either
-kind of error raises LayoutError with the line that supplied the value.
+syntax only: one table, `_KEYWORDS`, gives each keyword's value names and
+type, and each line's keyword, arity and numbers are checked, in file order,
+as the line is read; missing required keywords are reported after the last
+line. The config dataclasses (GridSpec, EnvConfig, GroundUser, Position3,
+CarrierConfig) check every value, finiteness included. Either kind of error
+raises LayoutError with the line that supplied the value.
 """
 
 from __future__ import annotations
@@ -33,9 +36,22 @@ class LayoutError(ValueError):
     """Layout file rejected; message carries file and line context."""
 
 
+# Each keyword's value type and value names, as the messages name them; only `user` repeats.
+_KEYWORDS = {
+    "grid": (int, "grid size", "grid size"),
+    "cell_size": (float, "cell_size"),
+    "altitude": (float, "altitude"),
+    "origin": (float, "origin x", "origin y"),
+    "carrier_freq": (float, "carrier_freq"),
+    "bandwidth": (float, "bandwidth"),
+    "start": (int, "start i", "start j"),
+    "terminal": (int, "terminal i", "terminal j"),
+    "max_steps": (int, "max_steps"),
+    "user": (float, "user x", "user y", "user tx_power", "user noise_power", "user bandwidth"),
+    "uniform_reward": (float, "uniform_reward"),
+    "boundary_penalty": (float, "boundary_penalty"),
+}
 _REQUIRED = ("grid", "cell_size", "altitude", "carrier_freq", "bandwidth", "start", "terminal", "max_steps")
-_SCALAR_KEYS = _REQUIRED + ("origin", "uniform_reward", "boundary_penalty")
-_USER_VALUES = ("x", "y", "tx_power", "noise_power", "bandwidth")
 # The keyword that supplies each config field whose name differs from it.
 _KEYWORD_OF_FIELD = {
     "n1": "grid",
@@ -48,20 +64,6 @@ _KEYWORD_OF_FIELD = {
 
 def _fail(source: str, line_no: int, message: str) -> None:
     raise LayoutError(f"{source}, line {line_no}: {message}")
-
-
-def _parse_float(source: str, line_no: int, token: str, field: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        _fail(source, line_no, f"{field} must be a number, got {token!r}")
-
-
-def _parse_int(source: str, line_no: int, token: str, field: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        _fail(source, line_no, f"{field} must be an integer, got {token!r}")
 
 
 def _build(source: str, line_no: int, make, *args):
@@ -80,7 +82,7 @@ def parse_layout(path: str | Path, data: bytes | None = None) -> EnvConfig:
         content = (Path(path).read_bytes() if data is None else data).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LayoutError(f"{source}: not UTF-8 text ({exc})") from exc
-    fields: dict[str, tuple] = {}  # keyword -> (values, line_no)
+    fields: dict[str, tuple] = {}  # keyword -> (value, or values when it takes several, line_no)
     users: list[tuple] = []  # (values, line_no)
 
     for line_no, raw in enumerate(content.splitlines(), start=1):
@@ -88,67 +90,47 @@ def parse_layout(path: str | Path, data: bytes | None = None) -> EnvConfig:
         if not text:
             continue
         key, *args = text.split()
-        if key == "user":
-            if len(args) != 5:
-                _fail(source, line_no, f"user takes 5 values (x y tx_power noise_power bandwidth), got {len(args)}")
-            users.append((args, line_no))
-        elif key in _SCALAR_KEYS:
-            if key in fields:
-                _fail(source, line_no, f"duplicate {key} (first given on line {fields[key][1]})")
-            fields[key] = (args, line_no)
-        else:
+        if key not in _KEYWORDS:
             _fail(source, line_no, f"unknown keyword {key!r}")
+        if key in fields:
+            _fail(source, line_no, f"duplicate {key} (first given on line {fields[key][1]})")
+        parse, *names = _KEYWORDS[key]
+        if len(args) != len(names):
+            count = "5 values (x y tx_power noise_power bandwidth)" if key == "user" else f"{len(names)} value(s)"
+            _fail(source, line_no, f"{key} takes {count}, got {len(args)}")
+        values = []
+        for token, name in zip(args, names):
+            try:
+                values.append(parse(token))
+            except ValueError:
+                _fail(source, line_no, f"{name} must be {'an integer' if parse is int else 'a number'}, got {token!r}")
+        if key == "user":
+            users.append((values, line_no))
+        else:
+            fields[key] = (tuple(values) if len(values) > 1 else values[0], line_no)
 
     for key in _REQUIRED:
         if key not in fields:
             raise LayoutError(f"{source}: missing required field {key!r}")
-
-    def take(key: str, count: int) -> tuple[list[str], int]:
-        args, line_no = fields[key]
-        if len(args) != count:
-            _fail(source, line_no, f"{key} takes {count} value(s), got {len(args)}")
-        return args, line_no
-
-    def scalar(key: str, parse=_parse_float):
-        args, line_no = take(key, 1)
-        return parse(source, line_no, args[0], key)
-
-    args, ln = take("grid", 2)
-    n1, n2 = (_parse_int(source, ln, a, "grid size") for a in args)
-    cell_size = scalar("cell_size")
-    altitude = scalar("altitude")
-    if "origin" in fields:
-        args, ln = take("origin", 2)
-        ox = _parse_float(source, ln, args[0], "origin x")
-        oy = _parse_float(source, ln, args[1], "origin y")
-    else:
-        ox = oy = cell_size / 2.0
-    carrier = _build(source, fields["carrier_freq"][1], CarrierConfig, scalar("carrier_freq"))
-    bandwidth = scalar("bandwidth")
-    cells = {}
-    for key in ("start", "terminal"):
-        args, ln = take(key, 2)
-        cells[key] = (_parse_int(source, ln, args[0], f"{key} i"), _parse_int(source, ln, args[1], f"{key} j"))
-    max_steps = scalar("max_steps", _parse_int)
-    uniform_reward = scalar("uniform_reward") if "uniform_reward" in fields else None
-    boundary_penalty = scalar("boundary_penalty") if "boundary_penalty" in fields else 0.0
-
+    value = {key: v for key, (v, _) in fields.items()}
+    cell_size = value["cell_size"]
+    origin = value.get("origin", (cell_size / 2.0, cell_size / 2.0))
+    carrier = _build(source, fields["carrier_freq"][1], CarrierConfig, value["carrier_freq"])
     parsed_users = []
-    for args, ln in users:
-        x, y, tx, noise, bw = (_parse_float(source, ln, a, f"user {name}") for a, name in zip(args, _USER_VALUES))
+    for (x, y, tx, noise, bw), ln in users:
         parsed_users.append(_build(source, ln, lambda: GroundUser(Position3(x, y, 0.0), tx, noise, bw)))
 
     try:
         return EnvConfig(
-            grid=GridSpec(n1, n2, cell_size, (ox, oy), altitude),
+            grid=GridSpec(*value["grid"], cell_size, origin, value["altitude"]),
             users=tuple(parsed_users),
             carrier=carrier,
-            start_cell=cells["start"],
-            terminal_cell=cells["terminal"],
-            max_steps=max_steps,
-            total_bandwidth=bandwidth,
-            uniform_reward=uniform_reward,
-            boundary_penalty=boundary_penalty,
+            start_cell=value["start"],
+            terminal_cell=value["terminal"],
+            max_steps=value["max_steps"],
+            total_bandwidth=value["bandwidth"],
+            uniform_reward=value.get("uniform_reward"),
+            boundary_penalty=value.get("boundary_penalty", 0.0),
         )
     except FieldError as exc:
         if exc.index is not None:

@@ -85,11 +85,11 @@ def dp_optimal(env: GridWorld, horizon: int | None = None) -> DPResult:
 def enumerate_paths(env: GridWorld, max_len: int) -> tuple[float, tuple[int, ...]]:
     """Brute-force the best terminal-reaching path of at most max_len steps.
 
-    Walks every action sequence through `env.transitions`; branches stop at
-    the terminal cell, so its absorbing row is never read. The walk is
-    exponential in max_len and refuses anything beyond 16 cells or depth 12.
-    Returns (best return, state path); (-inf, ()) if no sequence reaches the
-    terminal cell.
+    Walks every action sequence through `env.transition_model`, read as
+    lists; branches stop at the terminal cell, so its absorbing row is never
+    read. The walk is exponential in max_len and refuses anything beyond 16
+    cells or depth 12. Returns (best return, state path); (-inf, ()) if no
+    sequence reaches the terminal cell.
     """
     if env.n_states > MAX_ENUM_STATES or max_len > MAX_ENUM_DEPTH:
         raise ValueError(
@@ -102,20 +102,20 @@ def enumerate_paths(env: GridWorld, max_len: int) -> tuple[float, tuple[int, ...
     best_return = -math.inf
     best_path: tuple[int, ...] = ()
     path = [env.start_state]
-    table = env.transitions
+    nxt, rew = (column.tolist() for column in env.transition_model)
 
     def walk(s: int, steps_left: int, acc: float) -> None:
         nonlocal best_return, best_path
         if steps_left == 0:
             return
-        for out in table[s]:
-            if out.terminal:
-                if acc + out.reward > best_return:
-                    best_return = acc + out.reward
-                    best_path = tuple(path) + (out.next_state,)
+        for s_next, reward in zip(nxt[s], rew[s]):
+            if s_next == env.terminal_state:
+                if acc + reward > best_return:
+                    best_return = acc + reward
+                    best_path = tuple(path) + (s_next,)
             else:
-                path.append(out.next_state)
-                walk(out.next_state, steps_left - 1, acc + out.reward)
+                path.append(s_next)
+                walk(s_next, steps_left - 1, acc + reward)
                 path.pop()
 
     walk(env.start_state, max_len, 0.0)

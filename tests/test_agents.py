@@ -21,13 +21,10 @@ from qirl_uav.agents import (
     default_boltzmann_schedule,
     default_epsilon_schedule,
     greedy_rollout,
-    preference_table,
-    q_table,
     qirl_select,
     qirl_update,
     ql_select,
     ql_update,
-    value_table,
 )
 from qirl_uav.gridworld import Action, StepOutcome
 from qirl_uav.harness import make_rng, train
@@ -50,11 +47,13 @@ def cfg_unit_scale(**kw) -> QiRLConfig:
 
 
 def test_fresh_tables():
-    assert np.all(value_table(5) == 0.0)
-    prefs = preference_table(5)
-    assert prefs.shape == (5, 4)
-    assert np.all(prefs == 0.25)
-    assert np.all(q_table(5) == 0.0)
+    env = make_uniform_env()
+    qirl = QiRLAgent(env)
+    assert qirl.values.shape == (9,) and np.all(qirl.values == 0.0)
+    assert qirl.prefs.shape == (9, 4)
+    assert np.all(qirl.prefs == 0.25)
+    q = QLearningAgent(env, default_epsilon_schedule()).q
+    assert q.shape == (9, 4) and np.all(q == 0.0)
 
 
 # ---------------------------------------------------------------- config
@@ -116,12 +115,12 @@ def test_exponent_clamp_is_bounded_so_the_factor_stays_finite():
     with pytest.raises(ValueError, match=r"exponent_clamp must lie in \(0, 709.78\]"):
         QiRLConfig(exponent_clamp=math.nextafter(MAX_EXPONENT, math.inf))
     # the largest clamp on the largest exponent still leaves a probability-shaped row
-    values, prefs = np.zeros(2), preference_table(2)
+    values, prefs = np.zeros(2), np.full((2, 4), 0.25)
     cfg = cfg_unit_scale(k_plus=1e308, k_minus=-1e308, exponent_clamp=MAX_EXPONENT)
-    qirl_update(values, prefs, 0, 2, 1e300, 1, False, cfg)  # factor exp(clamp)
+    qirl_update(values, prefs, 0, 2, 1e300, 1, cfg)  # factor exp(clamp)
     assert prefs[0].sum() == pytest.approx(1.0) and prefs[0, 2] == pytest.approx(1.0)
     assert prefs[0].min() > 0.0
-    qirl_update(values, prefs, 0, 2, 1e300, 1, True, cfg)  # punished: exp(-clamp) on the entry near 1
+    qirl_update(values, prefs, 0, 2, 1e300, 0, cfg)  # a rebound, punished: exp(-clamp) on the entry near 1
     assert prefs[0].sum() == pytest.approx(1.0) and prefs[0].min() > 0.0
 
 
@@ -172,7 +171,7 @@ def test_weak_field_needs_a_boltzmann_floor_override():
 
 
 def test_qirl_select_follows_preference_row():
-    prefs = preference_table(2)
+    prefs = np.full((2, 4), 0.25)
     prefs[0] = [1.0, 0.0, 0.0, 0.0]
     prefs[1] = [0.0, 0.0, 0.0, 1.0]
     rng = rng_of(0)
@@ -181,7 +180,7 @@ def test_qirl_select_follows_preference_row():
 
 
 def test_qirl_select_consumes_one_uniform():
-    prefs = preference_table(1)
+    prefs = np.full((1, 4), 0.25)
     a, b = rng_of(1), rng_of(1)
     qirl_select(prefs, 0, a)
     b.random()
@@ -189,7 +188,7 @@ def test_qirl_select_consumes_one_uniform():
 
 
 def test_qirl_select_distribution():
-    prefs = preference_table(1)
+    prefs = np.full((1, 4), 0.25)
     prefs[0] = [0.7, 0.2, 0.1, 0.0]
     rng = rng_of(3)
     counts = np.bincount([qirl_select(prefs, 0, rng) for _ in range(10_000)], minlength=4)
@@ -198,7 +197,7 @@ def test_qirl_select_distribution():
 
 
 def test_epsilon_greedy_selection():
-    q = q_table(1)
+    q = np.zeros((1, 4))
     q[0] = [0.0, 2.0, 1.0, 0.0]
     greedy = ExplorationSchedule("epsilon_greedy", 0.0, 1.0, 0.0)
     assert all(ql_select(q, 0, greedy, 0, rng_of(4)) == 1 for _ in range(10))
@@ -209,7 +208,7 @@ def test_epsilon_greedy_selection():
 
 
 def test_epsilon_greedy_breaks_ties_uniformly():
-    q = q_table(1)
+    q = np.zeros((1, 4))
     q[0] = [1.0, 1.0, 0.0, 0.0]
     greedy = ExplorationSchedule("epsilon_greedy", 0.0, 1.0, 0.0)
     rng = rng_of(6)
@@ -219,7 +218,7 @@ def test_epsilon_greedy_breaks_ties_uniformly():
 
 
 def test_epsilon_greedy_consumes_two_uniforms_even_when_greedy():
-    q = q_table(1)
+    q = np.zeros((1, 4))
     greedy = ExplorationSchedule("epsilon_greedy", 0.0, 1.0, 0.0)
     a, b = rng_of(7), rng_of(7)
     ql_select(q, 0, greedy, 0, a)
@@ -229,7 +228,7 @@ def test_epsilon_greedy_consumes_two_uniforms_even_when_greedy():
 
 
 def test_boltzmann_selection_limits():
-    q = q_table(1)
+    q = np.zeros((1, 4))
     q[0] = [0.0, 1.0, 0.0, 0.0]
     cold = ExplorationSchedule("boltzmann", 1e-6, 1.0, 1e-6)
     assert all(ql_select(q, 0, cold, 0, rng_of(8)) == 1 for _ in range(20))
@@ -240,7 +239,7 @@ def test_boltzmann_selection_limits():
 
 
 def test_boltzmann_survives_extreme_values():
-    q = q_table(1)
+    q = np.zeros((1, 4))
     q[0] = [1e8, -1e8, 0.0, 0.0]
     sched = ExplorationSchedule("boltzmann", 1.0, 1.0, 1.0)
     assert all(ql_select(q, 0, sched, 0, rng_of(10)) == 0 for _ in range(20))
@@ -255,7 +254,7 @@ def test_boltzmann_schedule_refuses_a_floor_below_the_minimum_temperature():
         ExplorationSchedule("boltzmann", 1.0, 0.5, math.nan)
     sched = ExplorationSchedule("boltzmann", 1.0, 0.5, MIN_TEMPERATURE)
     assert min(sched.value(e) for e in range(200)) == MIN_TEMPERATURE
-    assert ql_select(q_table(1), 0, sched, 199, rng_of(11)) in range(4)
+    assert ql_select(np.zeros((1, 4)), 0, sched, 199, rng_of(11)) in range(4)
     ExplorationSchedule("epsilon_greedy", 1.0, 0.5, 0.0)  # epsilon may reach 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         sched.floor = 0.0
@@ -264,7 +263,7 @@ def test_boltzmann_schedule_refuses_a_floor_below_the_minimum_temperature():
 def test_boltzmann_consumes_one_uniform():
     sched = ExplorationSchedule("boltzmann", 1.0, 1.0, 1.0)
     a, b = rng_of(12), rng_of(12)
-    ql_select(q_table(1), 0, sched, 0, a)
+    ql_select(np.zeros((1, 4)), 0, sched, 0, a)
     b.random()
     assert a.random() == b.random()
 
@@ -275,9 +274,9 @@ def test_boltzmann_consumes_one_uniform():
 def test_td_step_worked_example():
     """V=0, next V=1, r=0.5, alpha=0.1 moves the value to 0.15."""
     values = np.array([0.0, 1.0])
-    prefs = preference_table(2)
+    prefs = np.full((2, 4), 0.25)
     cfg = cfg_unit_scale()
-    qirl_update(values, prefs, 0, 0, 0.5, 1, False, cfg)
+    qirl_update(values, prefs, 0, 0, 0.5, 1, cfg)
     assert values[0] == pytest.approx(0.15, abs=1e-12)
     assert values[1] == 1.0  # only the departed state moves
 
@@ -287,8 +286,8 @@ def test_zero_learning_rate_freezes_values():
     cfg = cfg_unit_scale()
     object.__setattr__(cfg, "alpha", 0.0)
     values = np.array([0.3, 1.0])
-    prefs = preference_table(2)
-    qirl_update(values, prefs, 0, 2, 0.5, 1, False, cfg)
+    prefs = np.full((2, 4), 0.25)
+    qirl_update(values, prefs, 0, 2, 0.5, 1, cfg)
     assert values[0] == 0.3 and values[1] == 1.0
     assert prefs[0, 2] > 0.25  # the preference step still happens
 
@@ -300,9 +299,9 @@ def test_value_that_overflows_is_refused_before_it_is_written(sign):
     both tables as they were."""
     v_state = reward = sign * sys.float_info.max
     values = np.array([v_state, 0.0])
-    prefs = preference_table(2)
+    prefs = np.full((2, 4), 0.25)
     with pytest.raises(ValueError, match="value of state 0 overflowed to"):
-        qirl_update(values, prefs, 0, 1, reward, 0, True, cfg_unit_scale(alpha=1.0))
+        qirl_update(values, prefs, 0, 1, reward, 0, cfg_unit_scale(alpha=1.0))
     assert values.tolist() == [v_state, 0.0]
     assert (prefs == 0.25).all()
 
@@ -312,7 +311,7 @@ def test_q_value_that_overflows_is_refused_before_it_is_written(sign):
     """The baselines' backup has the same guard: the largest double plus a
     bootstrap of the largest double raises, naming state and action, and
     leaves the Q table as it was."""
-    q = q_table(2)
+    q = np.zeros((2, 4))
     q[1] = sign * sys.float_info.max
     before = q.copy()
     with pytest.raises(ValueError, match="Q value of state 0, action 2 overflowed to"):
@@ -322,12 +321,12 @@ def test_q_value_that_overflows_is_refused_before_it_is_written(sign):
 
 def test_td_converges_on_deterministic_chain():
     """Replaying a fixed 0 -> 1 -> 2 path drives values to the remaining returns."""
-    values = value_table(3)
-    prefs = preference_table(3)
+    values = np.zeros(3)
+    prefs = np.full((3, 4), 0.25)
     cfg = cfg_unit_scale(alpha=0.3, reward_scale=10.0)
     for _ in range(400):
-        qirl_update(values, prefs, 0, 3, 0.5, 1, False, cfg)
-        qirl_update(values, prefs, 1, 3, 10.0, 2, False, cfg)  # terminal entry: V(2) stays 0
+        qirl_update(values, prefs, 0, 3, 0.5, 1, cfg)
+        qirl_update(values, prefs, 1, 3, 10.0, 2, cfg)  # terminal entry: V(2) stays 0
     assert abs(values[1] - 10.0) < 1e-6
     assert abs(values[0] - 10.5) < 1e-6
     assert values[2] == 0.0
@@ -336,8 +335,8 @@ def test_td_converges_on_deterministic_chain():
 def test_cut_transition_bootstraps_zero():
     cfg = cfg_unit_scale(alpha=0.5, reward_scale=10.0)
     values = np.array([5.0, 9.0])
-    prefs = preference_table(2)
-    qirl_update(values, prefs, 0, 0, 0.2, 1, False, cfg, cut=True)
+    prefs = np.full((2, 4), 0.25)
+    qirl_update(values, prefs, 0, 0, 0.2, 1, cfg, cut=True)
     # target is r + 0, not r + V(next)
     assert values[0] == pytest.approx(5.0 + 0.5 * (0.2 - 5.0))
 
@@ -346,8 +345,8 @@ def test_cut_preference_factor_still_reads_stranded_value():
     """The truncated step is punished in proportion to the value it left behind."""
     cfg = cfg_unit_scale(alpha=0.5, reward_scale=10.0)
     values = np.array([5.0, 9.0])
-    prefs = preference_table(2)
-    qirl_update(values, prefs, 0, 0, 0.2, 1, False, cfg, cut=True)
+    prefs = np.full((2, 4), 0.25)
+    qirl_update(values, prefs, 0, 0, 0.2, 1, cfg, cut=True)
     # delta = 0.2 - 5.0 < 0, so k_minus; exponent = -(0.2 + 9.0)/10
     expected = 0.25 * math.exp(-0.92)
     expected = expected / (expected + 0.75)
@@ -357,8 +356,8 @@ def test_cut_preference_factor_still_reads_stranded_value():
 def test_rebound_factor_reads_post_update_value():
     cfg = cfg_unit_scale(alpha=0.5, reward_scale=10.0)
     values = np.array([2.0])
-    prefs = preference_table(1)
-    qirl_update(values, prefs, 0, 1, -0.5, 0, True, cfg)
+    prefs = np.full((1, 4), 0.25)
+    qirl_update(values, prefs, 0, 1, -0.5, 0, cfg)
     assert values[0] == 1.75  # 2 + 0.5*(-0.5 + 2 - 2)
     # rebound: next == state, so the factor sees the value written above
     expected = 0.25 * math.exp(-(-0.5 + 1.75) / 10.0)
@@ -367,7 +366,7 @@ def test_rebound_factor_reads_post_update_value():
 
 
 def test_ql_update_backup():
-    q = q_table(2)
+    q = np.zeros((2, 4))
     q[1] = [0.0, 2.0, 0.0, 0.0]
     ql_update(q, 0, 3, 1.0, 1, alpha=0.5, gamma=0.5, terminal=False)
     assert q[0, 3] == 0.5 * (1.0 + 0.5 * 2.0)
@@ -377,7 +376,7 @@ def test_ql_update_backup():
 
 def test_qirl_update_requires_resolved_scale():
     with pytest.raises(ValueError):
-        qirl_update(value_table(2), preference_table(2), 0, 0, 1.0, 1, False, QiRLConfig())
+        qirl_update(np.zeros(2), np.full((2, 4), 0.25), 0, 0, 1.0, 1, QiRLConfig())
 
 
 # ---------------------------------------------------------------- preference updates
@@ -385,9 +384,9 @@ def test_qirl_update_requires_resolved_scale():
 
 def test_preference_worked_example():
     """A factor of e^0.5 on one action of a uniform row gives 0.35466/0.21511."""
-    values = value_table(2)
-    prefs = preference_table(2)
-    qirl_update(values, prefs, 0, 0, 0.5, 1, False, cfg_unit_scale(k_plus=1.0))
+    values = np.zeros(2)
+    prefs = np.full((2, 4), 0.25)
+    qirl_update(values, prefs, 0, 0, 0.5, 1, cfg_unit_scale(k_plus=1.0))
     assert prefs[0, 0] == pytest.approx(0.35466, abs=1e-4)
     assert np.all(np.abs(prefs[0, 1:] - 0.21511) < 1e-4)
     assert prefs[0].sum() == pytest.approx(1.0, abs=1e-12)
@@ -401,7 +400,7 @@ def test_positive_branch_raises_chosen_preference():
         values = np.array([0.0, float(rng.uniform(0.1, 5.0))])
         action = int(rng.integers(4))
         before = prefs[0].copy()
-        qirl_update(values, prefs, 0, action, float(rng.uniform(0.1, 2.0)), 1, False, cfg)
+        qirl_update(values, prefs, 0, action, float(rng.uniform(0.1, 2.0)), 1, cfg)
         assert prefs[0, action] > before[action]
         others = [i for i in range(4) if i != action]
         assert all(prefs[0, i] < before[i] for i in others)
@@ -413,34 +412,53 @@ def test_positive_branch_raises_chosen_preference():
 def test_negative_delta_lowers_chosen_preference():
     cfg = cfg_unit_scale()
     values = np.array([5.0, 0.0])  # r + V(next) - V(state) < 0
-    prefs = preference_table(2)
-    qirl_update(values, prefs, 0, 2, 0.1, 1, False, cfg)
+    prefs = np.full((2, 4), 0.25)
+    qirl_update(values, prefs, 0, 2, 0.1, 1, cfg)
     assert prefs[0, 2] < 0.25
 
 
 def test_boundary_hit_forces_punishment_branch():
-    """A rebound is punished even when its TD error is non-negative."""
+    """A rebound (next_state == state) is punished even when its TD error is non-negative."""
     cfg = cfg_unit_scale()
-    values = np.array([0.0, 3.0])
-    prefs = preference_table(2)
-    # delta = 1.0 + 3.0 - 0.0 > 0, but boundary_hit wins
-    qirl_update(values, prefs, 0, 1, 1.0, 1, True, cfg)
+    values = np.array([3.0])
+    prefs = np.full((1, 4), 0.25)
+    # delta = 1.0 + 3.0 - 3.0 > 0, but the move stayed put
+    qirl_update(values, prefs, 0, 1, 1.0, 0, cfg)
+    assert values[0] == 3.1
     assert prefs[0, 1] < 0.25
+
+
+@pytest.mark.parametrize(
+    "values, reward, next_state, boosted",
+    [
+        pytest.param([0.0], -5.0, 0, False, id="penalized rebound"),
+        pytest.param([0.0, -3.0], -1.0, 1, False, id="negative delta"),
+        pytest.param([-10.0, -3.0], -1.0, 1, True, id="positive delta"),
+    ],
+)
+def test_branch_alone_sets_the_sign_when_reward_plus_value_is_negative(values, reward, next_state, boosted):
+    """reward + V(next) < 0 in every case: the factor is exp(k * |reward + V(next)|),
+    so a rebound or a negative TD error lowers the chosen preference and a
+    non-negative TD error raises it."""
+    values = np.array(values)
+    prefs = np.full((len(values), 4), 0.25)
+    qirl_update(values, prefs, 0, 2, reward, next_state, cfg_unit_scale())
+    assert (prefs[0, 2] > 0.25) == boosted and prefs[0, 2] != 0.25
 
 
 def test_zero_delta_takes_the_boost_branch():
     cfg = cfg_unit_scale()
     values = np.array([1.0, 0.0])
-    prefs = preference_table(2)
-    qirl_update(values, prefs, 0, 0, 1.0, 1, False, cfg)  # delta exactly 0
+    prefs = np.full((2, 4), 0.25)
+    qirl_update(values, prefs, 0, 0, 1.0, 1, cfg)  # delta exactly 0
     assert prefs[0, 0] > 0.25
 
 
 def test_exponent_clamp_bounds_the_factor():
     cfg = cfg_unit_scale(alpha=1e-6, exponent_clamp=2.0)
     values = np.array([0.0, 1e9])
-    prefs = preference_table(2)
-    qirl_update(values, prefs, 0, 0, 1.0, 1, False, cfg)
+    prefs = np.full((2, 4), 0.25)
+    qirl_update(values, prefs, 0, 0, 1.0, 1, cfg)
     # unclamped the factor would overflow; clamped it is e^2 on a uniform row
     expected = 0.25 * math.exp(2.0) / (0.25 * math.exp(2.0) + 0.75)
     assert prefs[0, 0] == pytest.approx(expected, rel=1e-9)
@@ -449,11 +467,11 @@ def test_exponent_clamp_bounds_the_factor():
 
 def test_floor_keeps_rows_probability_shaped():
     cfg = cfg_unit_scale(p_floor=0.01, k_minus=-5.0)
-    values = value_table(2)
-    prefs = preference_table(2)
+    values = np.zeros(2)
+    prefs = np.full((2, 4), 0.25)
     values[0] = 10.0  # large negative delta every time
     for _ in range(300):
-        qirl_update(values, prefs, 0, 0, 0.1, 1, False, cfg)
+        qirl_update(values, prefs, 0, 0, 0.1, 1, cfg)
         values[0] = 10.0
     assert prefs[0, 0] == pytest.approx(0.01, abs=1e-12)
     assert prefs[0].min() >= 0.01
@@ -479,10 +497,10 @@ def test_floor_cascade_when_scaling_pushes_second_entry_under():
 def test_without_floor_preferences_may_vanish():
     cfg = cfg_unit_scale(p_floor=0.0, k_minus=-8.0)
     values = np.array([100.0, 0.0])
-    prefs = preference_table(2)
+    prefs = np.full((2, 4), 0.25)
     for _ in range(50):
         values[0] = 100.0
-        qirl_update(values, prefs, 0, 0, 1.0, 1, False, cfg)
+        qirl_update(values, prefs, 0, 0, 1.0, 1, cfg)
     assert prefs[0, 0] < 1e-12
     assert prefs[0].sum() == pytest.approx(1.0, abs=1e-9)
 

@@ -101,16 +101,9 @@ def test_sum_rate_input_validation():
         sum_rate(Position3(0, 0, -100.0), (unit_user(),), CARRIER_2GHZ)
 
 
-def test_position_distance():
-    a = Position3(0.0, 0.0, 0.0)
-    b = Position3(3.0, 4.0, 0.0)
-    assert a.distance_to(b) == 5.0
-    assert b.distance_to(a) == 5.0
+def test_ground_user_validation():
     with pytest.raises(ValueError):
         Position3(math.inf, 0.0, 0.0)
-
-
-def test_ground_user_validation():
     with pytest.raises(ValueError):
         GroundUser(Position3(0, 0, 1.0), 1.0, 1.0, 2e6)  # not on the ground
     with pytest.raises(ValueError):

@@ -385,31 +385,6 @@ def test_float_flag_refuses_nan_and_infinity(tmp_path, capsys, monkeypatch, agen
 
 
 MAX_FLOAT = 1.7976931348623157e308
-OVERFLOWING_FIELDS = {
-    "penalty-1e308": ("uniform_reward 1.0\nboundary_penalty -1e308", ()),
-    "penalty-max-over-40": (f"uniform_reward 1.0\nboundary_penalty {-MAX_FLOAT / 40!r}", ("--alpha", "1.0")),
-}
-
-
-@pytest.mark.parametrize("field, flags", list(OVERFLOWING_FIELDS.values()), ids=list(OVERFLOWING_FIELDS))
-def test_qirl_value_that_overflows_is_config_error(tmp_path, capsys, field, flags):
-    """A finite field can still drive a learned value past the float range,
-    here through repeated rebounds; the learner refuses it at the write, so
-    the run exits 1 naming the value, rather than finishing on NaN rows."""
-    layout = tmp_path / "layout.txt"
-    text = TINY_LAYOUT.read_text().replace("max_steps 4", "max_steps 40")
-    layout.write_text(text.replace("uniform_reward 1.0", field))
-    out = tmp_path / "x"
-    code = run_cli(
-        "run", "--config", str(layout), "--agent", "qirl",
-        "--episodes", "300", "--seeds", "0,1", "--out", str(out), *flags,
-    )
-    err = capsys.readouterr().err
-    assert code == EXIT_CONFIG
-    assert err.startswith("error: value of state 0 overflowed to -inf") and "Traceback" not in err
-    assert not out.exists()
-
-
 def test_ql_value_that_overflows_is_config_error(tmp_path, capsys):
     """Every cell and the bonus are finite, but the undiscounted bootstrap on
     loops drives Q past the float range; ql_update refuses the value at the
@@ -425,6 +400,52 @@ def test_ql_value_that_overflows_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("error: Q value of state ") and "overflowed to inf" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "penalty, episodes, flags",
+    [
+        pytest.param(-5.0, "500", (), id="penalty-5"),
+        pytest.param(-MAX_FLOAT / 40, "300", ("--alpha", "1.0"), id="penalty-max-over-40"),
+    ],
+)
+def test_qirl_punishes_a_penalized_rebound(tmp_path, penalty, episodes, flags):
+    """After a rebound under a negative boundary_penalty, reward + V(next) is
+    negative; the punishing branch must still lower the rebounding move, so
+    the greedy policy reaches the terminal rather than rebounding for the
+    whole budget, and no value is driven past the float range by rebounds."""
+    layout = tmp_path / "layout.txt"
+    text = TINY_LAYOUT.read_text().replace("max_steps 4", "max_steps 40")
+    layout.write_text(text + f"boundary_penalty {penalty!r}\n")
+    out = tmp_path / "x"
+    code = run_cli(
+        "run", "--config", str(layout), "--agent", "qirl",
+        "--episodes", episodes, "--seeds", "0,1", "--out", str(out), *flags,
+    )
+    assert code == EXIT_OK
+    for entry in json.loads((out / "summary.json").read_text())["seeds"].values():
+        assert entry["greedy_reached_terminal"] and entry["greedy_return"] == 13.0
+
+
+@pytest.mark.parametrize(
+    "agent, max_steps, episode", [("ql_eps", "4", 5), ("qirl", "40", 3)], ids=["ql_eps", "qirl"]
+)
+def test_episode_return_that_overflows_is_config_error(tmp_path, capsys, agent, max_steps, episode):
+    """Every learned value stays finite under a boundary penalty of -1e308,
+    but an episode's rebounds sum past the float range; train refuses that
+    return, so the run exits 1 naming the episode instead of logging -inf."""
+    layout = tmp_path / "layout.txt"
+    text = TINY_LAYOUT.read_text().replace("max_steps 4", f"max_steps {max_steps}")
+    layout.write_text(text + "boundary_penalty -1e308\n")
+    out = tmp_path / "x"
+    code = run_cli(
+        "run", "--config", str(layout), "--agent", agent,
+        "--episodes", "300", "--seeds", "0,1", "--out", str(out),
+    )
+    assert code == EXIT_CONFIG
+    complaint = f"error: episode {episode} return overflowed to -inf: the field's returns are too large\n"
+    assert capsys.readouterr().err == complaint
     assert not out.exists()
 
 
@@ -512,6 +533,16 @@ def test_bad_seed_list_is_config_error(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "seeds must be comma-separated integers" in capsys.readouterr().err
+
+
+def test_negative_seed_is_config_error_before_the_layout_is_read(tmp_path, capsys):
+    """The layout file does not exist: reading it would exit 2."""
+    code = run_cli(
+        "run", "--config", str(tmp_path / "absent.txt"), "--agent", "qirl",
+        "--episodes", "5", "--seeds", "0,-1", "--out", str(tmp_path / "x"),
+    )
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: seeds must be non-negative\n"
 
 
 def test_invalid_hyperparameter_is_config_error(tmp_path, capsys):

@@ -200,6 +200,21 @@ def test_range_rule_reports_line(tmp_path, changes, fragment, line):
         assert f"line {line}:" in msg
 
 
+@pytest.mark.parametrize(
+    "malformed, fragment, line",
+    [
+        ("grid 3", "grid takes 2 value(s), got 1", 1),
+        ("max_steps four", "max_steps must be an integer, got 'four'", 7),
+    ],
+    ids=["arity", "number"],
+)
+def test_malformed_line_is_reported_before_a_missing_keyword(tmp_path, malformed, fragment, line):
+    """Each line is checked as it is read; a missing required keyword (here
+    altitude) is reported only once the whole file has been read."""
+    msg = expect_error(tmp_path, edit("altitude", malformed), fragment)
+    assert f"line {line}:" in msg
+
+
 def test_grid_too_small_rejected(tmp_path):
     lines = ["grid 1 3"] + VALID_LINES[1:]
     expect_error(tmp_path, lines, "at least 2 cells per side")
