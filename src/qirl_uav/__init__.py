@@ -16,7 +16,7 @@ from .agents import (
     ql_select,
     ql_update,
 )
-from .channel import CarrierConfig, GroundUser, Position3, path_loss_db, rate_field, snr, sum_rate
+from .channel import CarrierConfig, GroundUser, Position3, path_loss_db, rate_field, snr
 from .gridworld import Action, EnvConfig, GridSpec, GridWorld, StepOutcome, build, manhattan
 from .harness import (
     ConvergenceMetric,

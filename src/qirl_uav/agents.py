@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gridworld import N_ACTIONS, FieldError, GridWorld, StepOutcome
+from .gridworld import N_ACTIONS, FieldError, GridWorld
 from .quantum import sample_index
 
 MIN_TEMPERATURE = 1e-12
@@ -145,7 +145,7 @@ def qirl_update(
     next_state: int,
     cfg: QiRLConfig,
     update_count: int = 0,
-    cut: bool = False,
+    end: bool = False,
 ) -> None:
     """One undiscounted TD(0) value step plus one multiplicative preference
     step, in place; a value that overflows is refused, so every row sums to 1.
@@ -158,20 +158,21 @@ def qirl_update(
     branch alone sets the sign. The row is read once as a list, renormalized,
     floored and written back once.
 
-    cut marks the final transition of a budget-truncated episode: the TD
-    target bootstraps 0 then (as on terminal entry, whose V never leaves 0),
-    keeping learned values finite-horizon-consistent. Without it, undiscounted
-    TD on positive-reward cycles has no fixed point and diverges. The
-    preference factor still reads the stored V(next_state), so a truncated
-    episode's last action is punished in proportion to the value it failed
-    to cash in, exactly countering the boosts a loop collected on the way.
+    end marks a move that ends its episode, by terminal entry (whose V is never
+    written, so stays 0) or by using up the budget. Its TD target bootstraps 0,
+    here and in ql_update. On a budget cut that keeps learned values
+    consistent with the finite horizon: undiscounted TD on positive-reward
+    cycles has no fixed point and diverges. The preference factor still
+    reads the stored V(next_state), so a truncated episode's last action is
+    punished in proportion to the value it failed to cash in, exactly
+    countering the boosts a loop collected on the way.
     """
     if cfg.reward_scale is None:
         raise ValueError("reward_scale unresolved; construct the config with a value or use QiRLAgent")
     alpha = cfg.alpha_at(update_count)
     v_state = float(values[state])
     v_next = float(values[next_state])
-    delta = reward + (0.0 if cut else v_next) - v_state
+    delta = reward + (0.0 if end else v_next) - v_state
     v_new = v_state + alpha * delta
     if not _NEG_INF < v_new < _INF:
         raise ValueError(f"value of state {state} overflowed to {v_new!r}: the field's returns are too large to learn")
@@ -229,13 +230,11 @@ def ql_update(
     next_state: int,
     alpha: float,
     gamma: float,
-    terminal: bool = False,
+    end: bool = False,
 ) -> None:
-    """Standard Q-learning backup; a Q value that overflows is refused before it is written.
-
-    terminal covers any episode-ending transition (terminal entry or budget
-    cut): those bootstrap from 0 instead of max Q(next)."""
-    bootstrap = 0.0 if terminal else max(q[next_state].tolist())
+    """Standard Q-learning backup; a Q value that overflows is refused before
+    it is written. end is qirl_update's: the move bootstraps 0, not max Q(next)."""
+    bootstrap = 0.0 if end else max(q[next_state].tolist())
     old = float(q[state, action])
     new = old + alpha * (reward + gamma * bootstrap - old)
     if not _NEG_INF < new < _INF:
@@ -261,18 +260,8 @@ class QiRLAgent:
     def select(self, state: int, rng: np.random.Generator) -> int:
         return qirl_select(self.prefs, state, rng)
 
-    def update(self, state: int, action: int, outcome: StepOutcome, cut: bool = False) -> None:
-        qirl_update(
-            self.values,
-            self.prefs,
-            state,
-            action,
-            outcome.reward,
-            outcome.next_state,
-            self.cfg,
-            self.updates,
-            cut,
-        )
+    def update(self, state: int, action: int, reward: float, next_state: int, end: bool) -> None:
+        qirl_update(self.values, self.prefs, state, action, reward, next_state, self.cfg, self.updates, end)
         self.updates += 1
 
     def end_episode(self) -> None:
@@ -300,17 +289,8 @@ class QLearningAgent:
     def select(self, state: int, rng: np.random.Generator) -> int:
         return ql_select(self.q, state, self.schedule, self.episode, rng)
 
-    def update(self, state: int, action: int, outcome: StepOutcome, cut: bool = False) -> None:
-        ql_update(
-            self.q,
-            state,
-            action,
-            outcome.reward,
-            outcome.next_state,
-            self.alpha,
-            self.gamma,
-            outcome.terminal or cut,
-        )
+    def update(self, state: int, action: int, reward: float, next_state: int, end: bool) -> None:
+        ql_update(self.q, state, action, reward, next_state, self.alpha, self.gamma, end)
 
     def end_episode(self) -> None:
         self.episode += 1

@@ -108,7 +108,3 @@ def rate_field(
         raise ValueError("distance must be positive and finite")
     return total.reshape(len(ys), n1)
 
-
-def sum_rate(uav_position: Position3, users: tuple[GroundUser, ...], carrier: CarrierConfig) -> float:
-    """Weighted sum uplink rate in bits/s seen by a hovering UAV: the one-point rate_field."""
-    return float(rate_field([uav_position.x], [uav_position.y], uav_position.z, users, carrier)[0, 0])

@@ -128,9 +128,9 @@ class GridWorld:
     reward; entering the terminal cell pays the bonus (10x the max cell
     reward) instead and ends the episode. Moves off the grid rebound: same
     state, boundary penalty (default 0), episode continues. Every move is
-    read from `transition_model`, the one model that the planners read as
-    arrays and `step` as objects. A field or terminal bonus that is not
-    finite is refused here.
+    read from `transition_model`, the one move model: the planners and the
+    training loop read its arrays, and `step` makes one StepOutcome per call
+    from them. A field or terminal bonus that is not finite is refused here.
     """
 
     def __init__(self, config: EnvConfig):
@@ -171,10 +171,10 @@ class GridWorld:
     @cached_property
     def transition_model(self) -> tuple[np.ndarray, np.ndarray]:
         """(next_state, reward), two read-only (n_states, 4) arrays built from
-        the reward row on first use. A move off the grid stays put and pays the
-        boundary penalty; entering the terminal cell pays the bonus. The
-        terminal row is absorbing, a zero-reward self-loop that `step` never
-        returns."""
+        the reward row on first use; the package's one move model. A move off
+        the grid stays put and pays the boundary penalty; entering the terminal
+        cell pays the bonus. The terminal row is absorbing, a zero-reward
+        self-loop that `step` refuses and training never reads."""
         states = np.arange(self.n_states)[:, None]
         di, dj = np.array(ACTION_DELTAS).T
         ti, tj = states % self.n1 + di, states // self.n1 + dj
@@ -186,27 +186,18 @@ class GridWorld:
         nxt.flags.writeable = reward.flags.writeable = False  # shared by every reader
         return nxt, reward
 
-    @cached_property
-    def transitions(self) -> tuple[tuple[StepOutcome, ...], ...]:
-        """transitions[state][action]: `transition_model` as the StepOutcome
-        objects that `step`, their one reader in the package, returns; built on
-        first use. A move rebounds when it stays put outside the terminal row,
-        and ends the episode when it lands on the terminal cell."""
-        states = np.arange(self.n_states)[:, None]
-        nxt, reward = self.transition_model
-        columns = (nxt, reward, (nxt == states) & (states != self.terminal_state), nxt == self.terminal_state)
-        outcomes = map(StepOutcome, *(column.ravel().tolist() for column in columns))
-        return tuple(zip(*[outcomes] * N_ACTIONS))  # one shared iterator: consecutive rows of N_ACTIONS
-
     def step(self, state: int, action: int) -> StepOutcome:
-        """Deterministic transition. Stepping from the terminal cell is a
-        contract violation: episodes end there."""
+        """One move of `transition_model`, made on each call. Stepping from the
+        terminal cell is a contract violation (episodes end there), so a move
+        that stays put is a rebound."""
         self._check_state(state)
         if state == self.terminal_state:
             raise ValueError("cannot step from the terminal cell")
         if not 0 <= action < N_ACTIONS:
             raise ValueError(f"action {action} outside 0..{N_ACTIONS - 1}")
-        return self.transitions[state][action]
+        nxt, reward = self.transition_model
+        n = int(nxt[state, action])
+        return StepOutcome(n, float(reward[state, action]), n == state, n == self.terminal_state)
 
     def _check_state(self, state: int) -> None:
         if not 0 <= state < self.n_states:

@@ -123,14 +123,17 @@ def train(
     rng: np.random.Generator,
     check_invariants: bool = False,
 ) -> list[EpisodeLog]:
-    """Run the episodic loop: select, step, update until terminal or budget.
+    """Run the episodic loop: select, move, update until terminal or budget.
 
-    An episode return outside the float range is refused, as the learners
-    refuse such a value. Every SPOT_CHECK_EVERY-th episode is replayed
-    through the environment from its recorded actions to re-verify the
+    Moves are read from `env.transition_model` as lists; `update` gets `end`
+    on terminal entry and on the step that uses up the budget. An episode
+    return outside the float range is refused, as the learners refuse such a
+    value. Every SPOT_CHECK_EVERY-th episode is replayed from its recorded
+    actions through `greedy_rollout` (so through `env.step`) to re-verify the
     logged return. With check_invariants, every qirl update is followed by a
     preference-row audit (sum within 1e-9 of 1, entries at or above the floor).
     """
+    nxt, rew = (column.tolist() for column in env.transition_model)
     logs = []
     is_qirl = isinstance(agent, QiRLAgent)
     for episode in range(1, episodes + 1):
@@ -142,10 +145,10 @@ def train(
         reached = False
         while steps < env.max_steps:
             a = agent.select(s, rng)
-            out = env.step(s, a)
-            # the budget-exhausting transition of a truncated episode bootstraps 0
-            cut = steps + 1 >= env.max_steps and not out.terminal
-            agent.update(s, a, out, cut)
+            s_next, reward = nxt[s][a], rew[s][a]
+            steps += 1
+            reached = s_next == env.terminal_state
+            agent.update(s, a, reward, s_next, reached or steps == env.max_steps)
             if check_invariants and is_qirl:
                 row = agent.prefs[s]
                 if abs(float(row.sum()) - 1.0) > 1e-9:
@@ -154,31 +157,19 @@ def train(
                     raise AssertionError(f"preference row under the floor at state {s}")
             if actions is not None:
                 actions.append(a)
-            total += out.reward
-            steps += 1
-            s = out.next_state
-            if out.terminal:
-                reached = True
+            total += reward
+            s = s_next
+            if reached:
                 break
         agent.end_episode()
         if not _NEG_INF < total < _INF:
             raise ValueError(f"episode {episode} return overflowed to {total!r}: the field's returns are too large")
         if actions is not None:
-            replayed = _replay_return(env, actions)
+            replayed = greedy_rollout(env, lambda _s, it=iter(actions): next(it)).total_return
             if replayed != total:
                 raise AssertionError(f"episode {episode} return {total!r} != replayed {replayed!r}")
         logs.append(EpisodeLog(episode, total, steps, reached))
     return logs
-
-
-def _replay_return(env: GridWorld, actions: list[int]) -> float:
-    s = env.start_state
-    total = 0.0
-    for a in actions:
-        out = env.step(s, a)
-        total += out.reward
-        s = out.next_state
-    return total
 
 
 def convergence_metrics(logs: list[EpisodeLog], optimal_return: float, greedy_return: float) -> ConvergenceMetric:
@@ -323,6 +314,6 @@ def run(config: RunConfig) -> dict[str, Path]:
         "seeds": per_seed,
     }
     with open(paths["summary"], "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return paths

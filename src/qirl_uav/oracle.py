@@ -4,6 +4,7 @@ and (on tiny instances) exhaustive path enumeration."""
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +31,11 @@ def dp_optimal(env: GridWorld, horizon: int | None = None) -> DPResult:
     next state with t - 1 steps left over the four moves; the terminal state
     is absorbing at 0 once its entry bonus has been paid, and rebounds are
     modeled like any other transition. Both come from `env.transition_model`,
-    the arrays behind the outcomes `env.step` returns. With gamma = 1 the
-    horizon index is what makes the recursion exact. Only the current value
-    row is kept; each step's decision rule goes into a uint8 policy of
-    horizon x n_states bytes, with ties going to the first maximum in fixed
-    action order (`np.argmax`). The optimal path is replayed forward from
+    the package's one move model. With gamma = 1 the horizon index is what
+    makes the recursion exact. Only the current value row is kept; each
+    step's decision rule goes into a uint8 policy of horizon x n_states
+    bytes, with ties going to the first maximum in fixed action order
+    (`np.argmax`). The optimal path is replayed forward from
     that policy; the reported return is the forward sum along that path, so
     it is bit-identical to what a brute-force enumerator accumulates for the
     same path (backward induction associates the same additions in the
@@ -44,7 +45,8 @@ def dp_optimal(env: GridWorld, horizon: int | None = None) -> DPResult:
     to probe returns under tighter budgets (EnvConfig itself never admits a
     budget below the start-terminal Manhattan distance). A horizon whose
     policy would exceed MAX_PLAN_CELLS bytes (128 MiB) raises ValueError,
-    as EnvConfig does for such a step budget.
+    as EnvConfig does for such a step budget; so does an optimum, backward
+    from the start or summed forward, past the float range.
     """
     h = env.max_steps if horizon is None else horizon
     if h < 0:
@@ -55,12 +57,16 @@ def dp_optimal(env: GridWorld, horizon: int | None = None) -> DPResult:
     row_starts = np.arange(env.n_states) * N_ACTIONS  # each state's first entry in candidates.ravel()
     policy = np.empty((h, env.n_states), np.uint8)  # policy[t - 1][s]: the move from s with t steps left
     best = np.zeros(env.n_states)
-    for t in range(h):
-        candidates = rew + best[nxt]
-        choice = candidates.argmax(axis=1)
-        policy[t] = choice
-        best = candidates.ravel()[row_starts + choice]
-        best[env.terminal_state] = 0.0
+    # No value exceeds h terminal bonuses (the largest reward). Only where that may overflow is
+    # numpy kept quiet, as errstate costs more than a small plan; an overflow is refused below.
+    may_overflow = not math.isfinite(2.0 * h * env.terminal_bonus)
+    with np.errstate(over="ignore") if may_overflow else nullcontext():
+        for t in range(h):
+            candidates = rew + best[nxt]
+            choice = candidates.argmax(axis=1)
+            policy[t] = choice
+            best = candidates.ravel()[row_starts + choice]
+            best[env.terminal_state] = 0.0
 
     path = [env.start_state]
     s = env.start_state
@@ -72,6 +78,8 @@ def dp_optimal(env: GridWorld, horizon: int | None = None) -> DPResult:
         s = int(nxt[s, a])
         path.append(s)
         t -= 1
+    if not (math.isfinite(best[env.start_state]) and math.isfinite(total)):
+        raise ValueError(f"the optimal return over horizon {h} is not finite: the field's returns are too large")
 
     return DPResult(
         optimal_return=total,

@@ -26,7 +26,7 @@ from qirl_uav.agents import (
     ql_select,
     ql_update,
 )
-from qirl_uav.gridworld import Action, StepOutcome
+from qirl_uav.gridworld import Action
 from qirl_uav.harness import make_rng, train
 
 from conftest import make_uniform_env, small_channel_envs
@@ -336,7 +336,7 @@ def test_cut_transition_bootstraps_zero():
     cfg = cfg_unit_scale(alpha=0.5, reward_scale=10.0)
     values = np.array([5.0, 9.0])
     prefs = np.full((2, 4), 0.25)
-    qirl_update(values, prefs, 0, 0, 0.2, 1, cfg, cut=True)
+    qirl_update(values, prefs, 0, 0, 0.2, 1, cfg, end=True)
     # target is r + 0, not r + V(next)
     assert values[0] == pytest.approx(5.0 + 0.5 * (0.2 - 5.0))
 
@@ -346,7 +346,7 @@ def test_cut_preference_factor_still_reads_stranded_value():
     cfg = cfg_unit_scale(alpha=0.5, reward_scale=10.0)
     values = np.array([5.0, 9.0])
     prefs = np.full((2, 4), 0.25)
-    qirl_update(values, prefs, 0, 0, 0.2, 1, cfg, cut=True)
+    qirl_update(values, prefs, 0, 0, 0.2, 1, cfg, end=True)
     # delta = 0.2 - 5.0 < 0, so k_minus; exponent = -(0.2 + 9.0)/10
     expected = 0.25 * math.exp(-0.92)
     expected = expected / (expected + 0.75)
@@ -368,9 +368,9 @@ def test_rebound_factor_reads_post_update_value():
 def test_ql_update_backup():
     q = np.zeros((2, 4))
     q[1] = [0.0, 2.0, 0.0, 0.0]
-    ql_update(q, 0, 3, 1.0, 1, alpha=0.5, gamma=0.5, terminal=False)
+    ql_update(q, 0, 3, 1.0, 1, alpha=0.5, gamma=0.5, end=False)
     assert q[0, 3] == 0.5 * (1.0 + 0.5 * 2.0)
-    ql_update(q, 0, 2, 1.0, 1, alpha=0.5, gamma=0.5, terminal=True)
+    ql_update(q, 0, 2, 1.0, 1, alpha=0.5, gamma=0.5, end=True)
     assert q[0, 2] == 0.5  # terminal: no bootstrap
 
 
@@ -520,8 +520,8 @@ def test_qirl_agent_counts_updates_and_tracks_greedy():
     env = make_uniform_env()
     agent = QiRLAgent(env, QiRLConfig(alpha=0.5))
     out = env.step(env.start_state, Action.RIGHT)
-    agent.update(env.start_state, Action.RIGHT, out)
-    agent.update(env.start_state, Action.RIGHT, out)
+    agent.update(env.start_state, Action.RIGHT, out.reward, out.next_state, False)
+    agent.update(env.start_state, Action.RIGHT, out.reward, out.next_state, False)
     assert agent.updates == 2
     assert agent.greedy_action(env.start_state) == Action.RIGHT
 

@@ -1,10 +1,11 @@
-"""Free-space path loss, SNR, and sum-rate checks against hand-derived values."""
+"""Free-space path loss, SNR, and sum-rate checks against hand-derived values;
+the sum rate at one point is the one-point `rate_field`."""
 
 import math
 
 import pytest
 
-from qirl_uav.channel import CarrierConfig, GroundUser, Position3, path_loss_db, snr, sum_rate
+from qirl_uav.channel import CarrierConfig, GroundUser, Position3, path_loss_db, rate_field, snr
 
 CARRIER_2GHZ = CarrierConfig(2e9)
 
@@ -18,6 +19,11 @@ RATE_SINGLE_2MHZ = 0.04103406470624137
 
 def unit_user(x: float = 0.0, y: float = 0.0, bandwidth: float = 2e6) -> GroundUser:
     return GroundUser(Position3(x, y, 0.0), tx_power=1.0, noise_power=1.0, bandwidth=bandwidth)
+
+
+def rate_at(x: float, y: float, z: float, users: tuple[GroundUser, ...], carrier: CarrierConfig) -> float:
+    """Weighted sum uplink rate seen by a UAV hovering at (x, y, z)."""
+    return rate_field([x], [y], z, users, carrier)[0, 0]
 
 
 def test_path_loss_reference_point():
@@ -61,44 +67,43 @@ def test_snr_is_zero_once_the_linear_loss_overflows():
     # 10 ** (loss / 10) exceeds a double beyond about 3080 dB; 1e200 m is ~4040 dB
     assert snr(path_loss_db(1e200, CARRIER_2GHZ), unit_user()) == 0.0
     assert snr(path_loss_db(1e150, CARRIER_2GHZ), unit_user()) > 0.0
-    assert sum_rate(Position3(0.0, 0.0, 100.0), (unit_user(1e200),), CARRIER_2GHZ) == 0.0
+    assert rate_at(0.0, 0.0, 100.0, (unit_user(1e200),), CARRIER_2GHZ) == 0.0
 
 
 def test_snr_is_infinite_once_the_linear_loss_underflows():
     # 1e-200 m is about -3961 dB: 10 ** (loss / 10) underflows to 0.0
     assert snr(path_loss_db(1e-200, CARRIER_2GHZ), unit_user()) == math.inf
-    assert sum_rate(Position3(0.0, 0.0, 1e-200), (unit_user(),), CARRIER_2GHZ) == math.inf
+    assert rate_at(0.0, 0.0, 1e-200, (unit_user(),), CARRIER_2GHZ) == math.inf
 
 
 def test_single_user_rate_reference_point():
-    uav = Position3(0.0, 0.0, 100.0)
-    rate = sum_rate(uav, (unit_user(),), CARRIER_2GHZ)
+    rate = rate_at(0.0, 0.0, 100.0, (unit_user(),), CARRIER_2GHZ)
     assert rate == pytest.approx(RATE_SINGLE_2MHZ, rel=1e-12)
 
 
 def test_sum_rate_adds_per_user_contributions():
-    uav = Position3(30.0, 40.0, 100.0)
+    uav = (30.0, 40.0, 100.0)
     users = (unit_user(0.0, 0.0), unit_user(100.0, 0.0), unit_user(50.0, 80.0))
-    total = sum_rate(uav, users, CARRIER_2GHZ)
-    singles = sum(sum_rate(uav, (u,), CARRIER_2GHZ) for u in users)
+    total = rate_at(*uav, users, CARRIER_2GHZ)
+    singles = sum(rate_at(*uav, (u,), CARRIER_2GHZ) for u in users)
     assert total == pytest.approx(singles, rel=1e-12)
     assert total > 0.0
 
 
 def test_sum_rate_decreases_as_uav_moves_away():
     user = (unit_user(0.0, 0.0),)
-    near = sum_rate(Position3(0.0, 0.0, 100.0), user, CARRIER_2GHZ)
-    far = sum_rate(Position3(150.0, 0.0, 100.0), user, CARRIER_2GHZ)
+    near = rate_at(0.0, 0.0, 100.0, user, CARRIER_2GHZ)
+    far = rate_at(150.0, 0.0, 100.0, user, CARRIER_2GHZ)
     assert near > far > 0.0
 
 
 def test_sum_rate_input_validation():
     with pytest.raises(ValueError):
-        sum_rate(Position3(0, 0, 100.0), (), CARRIER_2GHZ)
+        rate_at(0, 0, 100.0, (), CARRIER_2GHZ)
     with pytest.raises(ValueError):
-        sum_rate(Position3(0, 0, 0.0), (unit_user(),), CARRIER_2GHZ)
+        rate_at(0, 0, 0.0, (unit_user(),), CARRIER_2GHZ)
     with pytest.raises(ValueError):
-        sum_rate(Position3(0, 0, -100.0), (unit_user(),), CARRIER_2GHZ)
+        rate_at(0, 0, -100.0, (unit_user(),), CARRIER_2GHZ)
 
 
 def test_ground_user_validation():

@@ -449,6 +449,38 @@ def test_episode_return_that_overflows_is_config_error(tmp_path, capsys, agent, 
     assert not out.exists()
 
 
+def overflowing_plan_layout(tmp_path, divisor):
+    """Every cell and the bonus are finite, but 40 steps of them sum past the float range."""
+    layout = tmp_path / "layout.txt"
+    text = TINY_LAYOUT.read_text().replace("max_steps 4", "max_steps 40")
+    layout.write_text(text.replace("uniform_reward 1.0", f"uniform_reward {MAX_FLOAT / divisor!r}"))
+    return layout
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning must not reach stderr
+def test_oracle_whose_optimum_overflows_is_config_error(tmp_path, capsys):
+    """The planner refuses an optimum past the float range, naming the
+    horizon, instead of printing inf over a path whose ties went to action 0."""
+    assert run_cli("oracle", "--config", str(overflowing_plan_layout(tmp_path, 11))) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the optimal return over horizon 40 is not finite: the field's returns are too large\n"
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning must not reach stderr
+def test_run_whose_optimum_overflows_is_config_error(tmp_path, capsys):
+    """One episode trains without overflow; the plan that follows overflows,
+    and is refused before any file is written, so no summary.json holds
+    Infinity or NaN."""
+    layout = overflowing_plan_layout(tmp_path, 30)
+    out = tmp_path / "x"
+    argv = ["--config", str(layout), "--agent", "ql_eps", "--episodes", "1", "--seeds", "0", "--out", str(out)]
+    assert run_cli("run", *argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: the optimal return over horizon 40 is not finite: the field's returns are too large\n"
+    assert not out.exists()
+
+
 FIELD_REFUSALS = {
     "distance-overflows": (
         {"uniform_reward 1.0": "origin -1.7e308 10\nuser 1.7e308 0 1 1 1e6"}, "distance must be positive and finite"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qirl_uav.channel import CarrierConfig, GroundUser, Position3, path_loss_db, snr, sum_rate
+from qirl_uav.channel import CarrierConfig, GroundUser, Position3, path_loss_db, rate_field, snr
 from qirl_uav.gridworld import (
     ACTION_DELTAS,
     N_ACTIONS,
@@ -130,26 +130,29 @@ def _bits(x: float) -> bytes:
 
 
 def assert_table_matches_geometry(env):
-    """Check every move in env.transitions against coordinate arithmetic done
-    here, independent of the table: state j * n1 + i, each action's unit step,
-    rebounds at the edges, and the bonus for entering the terminal cell. Then
-    check that the StepOutcome view agrees with the arrays of the transition
-    model on every entry, and that `step` returns the same object each call."""
+    """Check every non-terminal move of `step`, and the same entry of the
+    transition model's arrays, against coordinate arithmetic done here,
+    independent of both: state j * n1 + i, each action's unit step, rebounds
+    at the edges, and the bonus for entering the terminal cell. Then check
+    the arrays' absorbing terminal row, which `step` refuses."""
     cfg = env.config
     n1, n2 = cfg.grid.n1, cfg.grid.n2
     terminal = cfg.terminal_cell[1] * n1 + cfg.terminal_cell[0]
     bonus = 10.0 * float(env.rewards.max())
     moves = {Action.FORWARD: (0, 1), Action.BACKWARD: (0, -1), Action.LEFT: (-1, 0), Action.RIGHT: (1, 0)}
-    assert len(env.transitions) == n1 * n2
-    assert_view_matches_arrays(env, terminal)
+    nxt_of, reward_of = env.transition_model
+    assert nxt_of.shape == reward_of.shape == (n1 * n2, N_ACTIONS)
+
+    def array_move(s, a):  # entry (s, a), with the flags derived as `step` derives them
+        n = int(nxt_of[s, a])
+        return (n, _bits(float(reward_of[s, a])), n == s, n == terminal)
+
     for j in range(n2):
         for i in range(n1):
             s = j * n1 + i
             if s == terminal:
                 continue
             for action, (di, dj) in moves.items():
-                out = env.transitions[s][action]
-                assert env.step(s, action) is out and env.step(s, action) is out
                 ti, tj = i + di, j + dj
                 if 0 <= ti < n1 and 0 <= tj < n2:
                     nxt = tj * n1 + ti
@@ -157,22 +160,12 @@ def assert_table_matches_geometry(env):
                     expected = (nxt, _bits(reward), False, nxt == terminal)
                 else:
                     expected = (s, _bits(cfg.boundary_penalty), True, False)
+                out = env.step(s, action)
                 assert (out.next_state, _bits(out.reward), out.boundary_hit, out.terminal) == expected
+                assert array_move(s, action) == expected
     # absorbing terminal row: a zero-reward self-loop under every action
-    assert len(env.transitions[terminal]) == N_ACTIONS
-    for out in env.transitions[terminal]:
-        assert (out.next_state, _bits(out.reward)) == (terminal, _bits(0.0))
-
-
-def assert_view_matches_arrays(env, terminal):
-    nxt, reward = env.transition_model
-    assert nxt.shape == reward.shape == (env.n_states, N_ACTIONS)
-    for s in range(env.n_states):
-        for a in range(N_ACTIONS):
-            out = env.transitions[s][a]
-            n = int(nxt[s, a])
-            expected = (n, _bits(float(reward[s, a])), n == s and s != terminal, n == terminal)
-            assert (out.next_state, _bits(out.reward), out.boundary_hit, out.terminal) == expected
+    for action in range(N_ACTIONS):
+        assert array_move(terminal, action) == (terminal, _bits(0.0), True, True)
 
 
 @pytest.mark.parametrize("penalty", [None, -0.75])
@@ -305,7 +298,9 @@ def scalar_field(env):
 def assert_field_is_scalar_field(env):
     expected = scalar_field(env)
     assert env.rewards.tobytes() == expected.tobytes()
-    per_cell = [sum_rate(env.cell_center(s), env.config.users, env.config.carrier) for s in range(env.n_states)]
+    cfg = env.config
+    centers = map(env.cell_center, range(env.n_states))
+    per_cell = [rate_field([c.x], [c.y], c.z, cfg.users, cfg.carrier)[0, 0] for c in centers]
     assert np.array(per_cell).tobytes() == expected.tobytes()
 
 

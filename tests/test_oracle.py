@@ -151,8 +151,7 @@ def test_desk_scale_oracle_regression(desk_env):
 def full_table_dp(env, h):
     """Reference: backward induction over the whole (h+1) x S value table,
     the path replayed by re-deriving each move from it."""
-    nxt = np.array([[out.next_state for out in row] for row in env.transitions])
-    rew = np.array([[out.reward for out in row] for row in env.transitions])
+    nxt, rew = env.transition_model
     best = np.zeros((h + 1, env.n_states))
     for t in range(1, h + 1):
         best[t] = (rew + best[t - 1][nxt]).max(axis=1)
