@@ -100,45 +100,62 @@ def default_boltzmann_schedule(terminal_bonus: float, **overrides: float) -> Exp
         raise FieldError("floor", f"{message}: set one with --explore-floor") from None
 
 
-def qirl_select(prefs: np.ndarray, state: int, rng: np.random.Generator) -> int:
+def qirl_select(prefs, state: int, rng) -> int:
     """Collapse the state's action distribution through quantum.sample_index;
     one uniform consumed; qirl_update keeps the row on the simplex."""
-    return sample_index(prefs[state].tolist(), rng)
+    return sample_index(prefs[state], rng)
 
 
-def _apply_floor(p: list[float], floor: float) -> None:
-    """Lift entries of the row list `p` (an ndarray row works too) to at least
-    `floor` in place, renormalizing the unfloored mass.
+def _apply_floor(p, floor: float) -> None:
+    """Lift entries of the 4-entry row `p` (a list, or an ndarray row), which
+    sums to 1, to at least `floor` <= 0.01 in place, renormalizing the rest.
 
-    Iterative so the scaled entries cannot dip back under the floor; ends with
-    an exact clamp, leaving the row sum within a few ulps of 1.
+    Each round, unrolled over the entries, scales the unfloored ones (summed
+    in index order) to the mass left, and repeats while that pushes one more
+    under the floor, so none dips back under it; at most three floor. Ends
+    with an exact clamp, leaving the row sum within a few ulps of 1.
     """
     if floor <= 0.0:
         return
-    n = len(p)
-    floored = [v < floor for v in p]
-    for _ in range(n):
-        mass = 1.0 - floor * sum(floored)
+    p0, p1, p2, p3 = p
+    f0, f1, f2, f3 = p0 < floor, p1 < floor, p2 < floor, p3 < floor
+    k = (f0, f1, f2, f3).count(True)  # not a sum: np.bool_ + np.bool_ is a logical or
+    while True:
+        mass = 1.0 - floor * k
         free_sum = 0.0
-        for i in range(n):
-            if not floored[i]:
-                free_sum += p[i]
+        if not f0:
+            free_sum += p0
+        if not f1:
+            free_sum += p1
+        if not f2:
+            free_sum += p2
+        if not f3:
+            free_sum += p3
         scale = mass / free_sum
-        newly = False
-        for i in range(n):
-            if not floored[i] and p[i] * scale < floor:
-                floored[i] = True
-                newly = True
-        if not newly:
-            for i in range(n):
-                v = floor if floored[i] else p[i] * scale
-                p[i] = v if v > floor else floor
-            return
+        floored = k
+        if not f0 and p0 * scale < floor:
+            f0, k = True, k + 1
+        if not f1 and p1 * scale < floor:
+            f1, k = True, k + 1
+        if not f2 and p2 * scale < floor:
+            f2, k = True, k + 1
+        if not f3 and p3 * scale < floor:
+            f3, k = True, k + 1
+        if k == floored:
+            break
+    v = floor if f0 else p0 * scale
+    p[0] = v if v > floor else floor
+    v = floor if f1 else p1 * scale
+    p[1] = v if v > floor else floor
+    v = floor if f2 else p2 * scale
+    p[2] = v if v > floor else floor
+    v = floor if f3 else p3 * scale
+    p[3] = v if v > floor else floor
 
 
 def qirl_update(
-    values: np.ndarray,
-    prefs: np.ndarray,
+    values,
+    prefs,
     state: int,
     action: int,
     reward: float,
@@ -150,13 +167,14 @@ def qirl_update(
     """One undiscounted TD(0) value step plus one multiplicative preference
     step, in place; a value that overflows is refused, so every row sums to 1.
 
-    The TD error is computed before the value write. The reinforcement factor
+    The tables are the agent's lists, or numpy arrays. The TD error is
+    computed before the value write. The reinforcement factor
     exp(clamp(k * |reward + V(next_state)| / reward_scale)) reads the value
     table after the write (it differs only on rebounds, where next == state).
     k is k_minus on a rebound (qirl never steps from the terminal, so only a
     move off the grid stays put) or a negative TD error, else k_plus: the
-    branch alone sets the sign. The row is read once as a list, renormalized,
-    floored and written back once.
+    branch alone sets the sign. The row is rescaled, renormalized and
+    floored in place.
 
     end marks a move that ends its episode, by terminal entry (whose V is never
     written, so stays 0) or by using up the budget. Its TD target bootstraps 0,
@@ -170,8 +188,8 @@ def qirl_update(
     if cfg.reward_scale is None:
         raise ValueError("reward_scale unresolved; construct the config with a value or use QiRLAgent")
     alpha = cfg.alpha_at(update_count)
-    v_state = float(values[state])
-    v_next = float(values[next_state])
+    v_state = values[state]
+    v_next = values[next_state]
     delta = reward + (0.0 if end else v_next) - v_state
     v_new = v_state + alpha * delta
     if not _NEG_INF < v_new < _INF:
@@ -183,31 +201,24 @@ def qirl_update(
         k = cfg.k_minus if delta < 0.0 else cfg.k_plus
     exponent = k * abs(reward + v_next) / cfg.reward_scale
     exponent = min(max(exponent, -cfg.exponent_clamp), cfg.exponent_clamp)
-    p = prefs[state].tolist()
+    p = prefs[state]
     p[action] *= math.exp(exponent)
-    total = p[0] + p[1] + p[2] + p[3]
-    p = [p[0] / total, p[1] / total, p[2] / total, p[3] / total]
+    p0, p1, p2, p3 = p
+    total = p0 + p1 + p2 + p3
+    p[0], p[1], p[2], p[3] = p0 / total, p1 / total, p2 / total, p3 / total
     _apply_floor(p, cfg.p_floor)
-    prefs[state] = p
 
 
-def ql_select(
-    q: np.ndarray,
-    state: int,
-    schedule: ExplorationSchedule,
-    episode: int,
-    rng: np.random.Generator,
-) -> int:
-    """Exploratory action choice for the baselines.
+def ql_select(q, state: int, kind: str, value: float, rng) -> int:
+    """Baseline action choice at this episode's epsilon or temperature.
 
     epsilon-greedy consumes two uniforms per call (branch, then action or
     tie-break); Boltzmann consumes one, in quantum.sample_index. Softmax
     subtracts the row max before exponentiating, so extreme Q values cannot
     overflow, and ExplorationSchedule keeps the temperature >= MIN_TEMPERATURE.
     """
-    value = schedule.value(episode)
-    row = q[state].tolist()
-    if schedule.kind == "epsilon_greedy":
+    row = q[state]
+    if kind == "epsilon_greedy":
         u_branch = rng.random()
         u_pick = rng.random()
         if u_branch < value:
@@ -215,36 +226,37 @@ def ql_select(
         top = max(row)
         ties = [i for i, v in enumerate(row) if v == top]
         return ties[min(int(u_pick * len(ties)), len(ties) - 1)]
-    z = [v / value for v in row]
-    top = max(z)
-    w0, w1, w2, w3 = (math.exp(v - top) for v in z)
+    q0, q1, q2, q3 = row
+    z0, z1, z2, z3 = q0 / value, q1 / value, q2 / value, q3 / value
+    top = max(z0, z1, z2, z3)
+    w0, w1, w2, w3 = math.exp(z0 - top), math.exp(z1 - top), math.exp(z2 - top), math.exp(z3 - top)
     total = w0 + w1 + w2 + w3
     return sample_index((w0 / total, w1 / total, w2 / total, w3 / total), rng)
 
 
 def ql_update(
-    q: np.ndarray,
-    state: int,
-    action: int,
-    reward: float,
-    next_state: int,
-    alpha: float,
-    gamma: float,
-    end: bool = False,
+    q, state: int, action: int, reward: float, next_state: int, alpha: float, gamma: float, end: bool = False
 ) -> None:
     """Standard Q-learning backup; a Q value that overflows is refused before
     it is written. end is qirl_update's: the move bootstraps 0, not max Q(next)."""
-    bootstrap = 0.0 if end else max(q[next_state].tolist())
-    old = float(q[state, action])
+    bootstrap = 0.0 if end else max(q[next_state])
+    row = q[state]
+    old = row[action]
     new = old + alpha * (reward + gamma * bootstrap - old)
     if not _NEG_INF < new < _INF:
         message = f"Q value of state {state}, action {action} overflowed to {new!r}"
         raise ValueError(f"{message}: the field's returns are too large to learn")
-    q[state, action] = new
+    row[action] = new
+
+
+def _snapshot(table: list) -> np.ndarray:  # a read-only numpy copy of an agent's list table
+    array = np.array(table)
+    array.flags.writeable = False
+    return array
 
 
 class QiRLAgent:
-    """Owns the value and preference tables plus the update counter."""
+    """Owns the list value and preference tables and the update counter."""
 
     name = "qirl"
 
@@ -253,22 +265,26 @@ class QiRLAgent:
         if cfg.reward_scale is None:
             cfg = replace(cfg, reward_scale=env.terminal_bonus)
         self.cfg = cfg
-        self.values = np.zeros(env.n_states)
-        self.prefs = np.full((env.n_states, N_ACTIONS), 1.0 / N_ACTIONS)  # uniform: |h|^2 of an equal superposition
+        self.value_list = [0.0] * env.n_states
+        self.pref_rows = [[1.0 / N_ACTIONS] * N_ACTIONS for _ in range(env.n_states)]  # |h|^2, equal superposition
         self.updates = 0
 
+    values = property(lambda self: _snapshot(self.value_list))
+    prefs = property(lambda self: _snapshot(self.pref_rows))
+
     def select(self, state: int, rng: np.random.Generator) -> int:
-        return qirl_select(self.prefs, state, rng)
+        return qirl_select(self.pref_rows, state, rng)
 
     def update(self, state: int, action: int, reward: float, next_state: int, end: bool) -> None:
-        qirl_update(self.values, self.prefs, state, action, reward, next_state, self.cfg, self.updates, end)
+        qirl_update(self.value_list, self.pref_rows, state, action, reward, next_state, self.cfg, self.updates, end)
         self.updates += 1
 
     def end_episode(self) -> None:
         pass
 
     def greedy_action(self, state: int) -> int:
-        return int(np.argmax(self.prefs[state]))
+        row = self.pref_rows[state]
+        return row.index(max(row))  # np.argmax's rule: the first maximum
 
 
 class QLearningAgent:
@@ -279,24 +295,26 @@ class QLearningAgent:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        self.q = np.zeros((env.n_states, N_ACTIONS))
-        self.schedule = schedule
-        self.alpha = alpha
-        self.gamma = gamma
-        self.episode = 0
+        self.q_rows = [[0.0] * N_ACTIONS for _ in range(env.n_states)]
+        self.schedule, self.alpha, self.gamma, self.episode = schedule, alpha, gamma, 0
+        self.explore = schedule.value(0)  # epsilon or temperature for the current episode
         self.name = "ql_eps" if schedule.kind == "epsilon_greedy" else "ql_boltz"
 
+    q = property(lambda self: _snapshot(self.q_rows))
+
     def select(self, state: int, rng: np.random.Generator) -> int:
-        return ql_select(self.q, state, self.schedule, self.episode, rng)
+        return ql_select(self.q_rows, state, self.schedule.kind, self.explore, rng)
 
     def update(self, state: int, action: int, reward: float, next_state: int, end: bool) -> None:
-        ql_update(self.q, state, action, reward, next_state, self.alpha, self.gamma, end)
+        ql_update(self.q_rows, state, action, reward, next_state, self.alpha, self.gamma, end)
 
     def end_episode(self) -> None:
         self.episode += 1
+        self.explore = self.schedule.value(self.episode)
 
     def greedy_action(self, state: int) -> int:
-        return int(np.argmax(self.q[state]))
+        row = self.q_rows[state]
+        return row.index(max(row))  # np.argmax's rule: the first maximum
 
 
 @dataclass

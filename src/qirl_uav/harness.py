@@ -1,19 +1,21 @@
 """Seeded experiment runner: trains agents on a layout, writes episodes.csv,
 trajectory.csv, and summary.json, and computes convergence metrics.
 
-Reproducibility protocol: each (config, seed) pair gets its own
-numpy Philox generator (counter-based), Generator(Philox(seed)). Selection
-draw counts are fixed per agent kind (one uniform per step for qirl and
-ql_boltz, two for ql_eps), so identical configs replay identical episodes
-and the CSV outputs are byte-identical. Floats are written with repr(),
-which round-trips exactly.
+Reproducibility protocol: each (config, seed) pair gets its own numpy Philox
+generator (counter-based), Generator(Philox(seed)). Selection draw counts are
+fixed per agent kind (one uniform per step for qirl and ql_boltz, two for
+ql_eps; train draws them in blocks but leaves the generator where scalar draws
+would), so identical configs replay identical episodes and the CSV outputs are
+byte-identical. Floats are written with repr(), which round-trips exactly.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
+import os
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -38,6 +40,7 @@ from .oracle import dp_optimal
 AGENT_KINDS = ("qirl", "ql_eps", "ql_boltz")
 WINDOW = 50  # moving-average width for convergence metrics
 SPOT_CHECK_EVERY = 100  # re-simulate 1% of episodes to re-verify logged returns
+UNIFORM_BLOCK = 4096  # uniforms train draws from the generator at a time
 
 EPISODE_COLUMNS = ("seed", "episode", "return", "steps", "reached_terminal")
 TRAJECTORY_COLUMNS = ("seed", "step", "cell_i", "cell_j", "x_m", "y_m", "reward")
@@ -116,6 +119,28 @@ def make_agent(config: RunConfig, env: GridWorld):
     return QLearningAgent(env, schedule, alpha=config.alpha, gamma=config.gamma)
 
 
+class _BlockUniforms:
+    """Serves rng's uniforms in scalar rng.random() order, drawn UNIFORM_BLOCK
+    at a time. Philox is counter-based, so settle() can set rng back to its
+    state before the current block and redraw just the uniforms served from
+    it, leaving rng where scalar draws would."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.saved, self.block, self.pos = rng, rng.bit_generator.state, [], 0
+
+    def random(self) -> float:
+        pos = self.pos
+        if pos == len(self.block):  # none drawn yet, or all served
+            self.saved = self.rng.bit_generator.state
+            self.block, pos = self.rng.random(UNIFORM_BLOCK).tolist(), 0
+        self.pos = pos + 1
+        return self.block[pos]
+
+    def settle(self) -> None:
+        self.rng.bit_generator.state = self.saved
+        self.rng.random(self.pos)
+
+
 def train(
     env: GridWorld,
     agent,
@@ -126,49 +151,60 @@ def train(
     """Run the episodic loop: select, move, update until terminal or budget.
 
     Moves are read from `env.transition_model` as lists; `update` gets `end`
-    on terminal entry and on the step that uses up the budget. An episode
-    return outside the float range is refused, as the learners refuse such a
-    value. Every SPOT_CHECK_EVERY-th episode is replayed from its recorded
-    actions through `greedy_rollout` (so through `env.step`) to re-verify the
-    logged return. With check_invariants, every qirl update is followed by a
-    preference-row audit (sum within 1e-9 of 1, entries at or above the floor).
+    on terminal entry and on the step that uses up the budget. The agent's
+    uniforms come from rng through _BlockUniforms, and rng ends, even on a
+    refusal, where one rng.random() per draw would leave it. The loop makes no
+    reference cycles, so the cyclic collector is off while it runs, then left
+    as the caller had it. An episode return outside the float range is
+    refused, as the learners refuse such a value. Every SPOT_CHECK_EVERY-th
+    episode is replayed from its recorded actions through `greedy_rollout`
+    (so through `env.step`) to re-verify the logged return. With
+    check_invariants, every qirl update is followed by a preference-row audit
+    (sum within 1e-9 of 1, entries at or above the floor).
     """
     nxt, rew = (column.tolist() for column in env.transition_model)
-    logs = []
-    is_qirl = isinstance(agent, QiRLAgent)
-    for episode in range(1, episodes + 1):
-        verify = episode % SPOT_CHECK_EVERY == 0
-        actions = [] if verify else None
-        s = env.start_state
-        total = 0.0
-        steps = 0
-        reached = False
-        while steps < env.max_steps:
-            a = agent.select(s, rng)
-            s_next, reward = nxt[s][a], rew[s][a]
-            steps += 1
-            reached = s_next == env.terminal_state
-            agent.update(s, a, reward, s_next, reached or steps == env.max_steps)
-            if check_invariants and is_qirl:
-                row = agent.prefs[s]
-                if abs(float(row.sum()) - 1.0) > 1e-9:
-                    raise AssertionError(f"preference row sum drifted at state {s}")
-                if float(row.min()) < agent.cfg.p_floor:
-                    raise AssertionError(f"preference row under the floor at state {s}")
+    budget, terminal = env.max_steps, env.terminal_state
+    audit = check_invariants and isinstance(agent, QiRLAgent)
+    uniforms, logs = _BlockUniforms(rng), []
+    collecting = gc.isenabled()
+    gc.disable()  # else the kept logs start full-heap passes, whose cost varies with what the process holds
+    try:
+        for episode in range(1, episodes + 1):
+            actions = [] if episode % SPOT_CHECK_EVERY == 0 else None
+            s = env.start_state
+            total = 0.0
+            steps = 0
+            reached = False
+            while steps < budget:
+                a = agent.select(s, uniforms)
+                s_next, reward = nxt[s][a], rew[s][a]
+                steps += 1
+                reached = s_next == terminal
+                agent.update(s, a, reward, s_next, reached or steps == budget)
+                if audit:
+                    row = agent.pref_rows[s]
+                    if abs(sum(row) - 1.0) > 1e-9:
+                        raise AssertionError(f"preference row sum drifted at state {s}")
+                    if min(row) < agent.cfg.p_floor:
+                        raise AssertionError(f"preference row under the floor at state {s}")
+                if actions is not None:
+                    actions.append(a)
+                total += reward
+                s = s_next
+                if reached:
+                    break
+            agent.end_episode()
+            if not _NEG_INF < total < _INF:
+                raise ValueError(f"episode {episode} return overflowed to {total!r}: the field's returns are too large")
             if actions is not None:
-                actions.append(a)
-            total += reward
-            s = s_next
-            if reached:
-                break
-        agent.end_episode()
-        if not _NEG_INF < total < _INF:
-            raise ValueError(f"episode {episode} return overflowed to {total!r}: the field's returns are too large")
-        if actions is not None:
-            replayed = greedy_rollout(env, lambda _s, it=iter(actions): next(it)).total_return
-            if replayed != total:
-                raise AssertionError(f"episode {episode} return {total!r} != replayed {replayed!r}")
-        logs.append(EpisodeLog(episode, total, steps, reached))
+                replayed = greedy_rollout(env, lambda _s, it=iter(actions): next(it)).total_return
+                if replayed != total:
+                    raise AssertionError(f"episode {episode} return {total!r} != replayed {replayed!r}")
+            logs.append(EpisodeLog(episode, total, steps, reached))
+    finally:
+        if collecting:
+            gc.enable()
+        uniforms.settle()
     return logs
 
 
@@ -256,7 +292,8 @@ def write_trajectory_csv(path: Path, env: GridWorld, rollouts: dict[int, "Rollou
 
 
 def run(config: RunConfig) -> dict[str, Path]:
-    """Train over every seed, then plan, and write the three output files.
+    """Train over every seed, then plan, and write the three output files,
+    all or nothing: each to a temporary file, all moved into place at the end.
 
     The layout's bytes are read once, then parsed and hashed. Seeds run one
     after another in listed order, each with a fresh agent and generator, so
@@ -268,12 +305,10 @@ def run(config: RunConfig) -> dict[str, Path]:
     if env.terminal_bonus == 0.0:  # qirl and Boltzmann scale by it, oracle_gap divides by the optimum
         raise ValueError(f"every cell of {config.env_file} pays 0, so the terminal bonus is 0: nothing to learn")
 
-    logs_of = {}
-    rollouts = {}
+    logs_of, rollouts = {}, {}
     for seed in config.seeds:
-        rng = make_rng(seed)
         agent = make_agent(config, env)
-        logs_of[seed] = train(env, agent, config.episodes, rng)
+        logs_of[seed] = train(env, agent, config.episodes, make_rng(seed))
         rollouts[seed] = greedy_rollout(env, agent.greedy_action)
     oracle = dp_optimal(env)
 
@@ -298,9 +333,6 @@ def run(config: RunConfig) -> dict[str, Path]:
         "trajectory": out_dir / "trajectory.csv",
         "summary": out_dir / "summary.json",
     }
-    rows = ((seed, log) for seed, logs in logs_of.items() for log in logs)
-    write_episodes_csv(paths["episodes"], rows)
-    write_trajectory_csv(paths["trajectory"], env, rollouts)
     summary = {
         "agent": config.agent,
         "env_file": str(config.env_file),
@@ -313,7 +345,17 @@ def run(config: RunConfig) -> dict[str, Path]:
         "oracle_return_per_step": oracle.optimal_return / oracle.horizon_used if oracle.horizon_used else 0.0,
         "seeds": per_seed,
     }
-    with open(paths["summary"], "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    staged = {name: path.with_name(f".{path.name}.tmp") for name, path in paths.items()}
+    try:
+        write_episodes_csv(staged["episodes"], ((seed, log) for seed, logs in logs_of.items() for log in logs))
+        write_trajectory_csv(staged["trajectory"], env, rollouts)
+        with open(staged["summary"], "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except BaseException:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+        raise
+    for name, path in paths.items():
+        os.replace(staged[name], path)
     return paths

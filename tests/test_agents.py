@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qirl_uav.agents import (
@@ -110,18 +110,20 @@ def test_every_float_knob_refuses_nan_and_infinity(make, complaint, value):
         make(value)
 
 
+@pytest.mark.filterwarnings("error")
 def test_exponent_clamp_is_bounded_so_the_factor_stays_finite():
     assert math.isfinite(math.exp(QiRLConfig(exponent_clamp=MAX_EXPONENT).exponent_clamp))
     with pytest.raises(ValueError, match=r"exponent_clamp must lie in \(0, 709.78\]"):
         QiRLConfig(exponent_clamp=math.nextafter(MAX_EXPONENT, math.inf))
-    # the largest clamp on the largest exponent still leaves a probability-shaped row
-    values, prefs = np.zeros(2), np.full((2, 4), 0.25)
+    # the largest clamp on the largest exponent still leaves a probability-shaped row;
+    # list tables, as the agent holds: the overflowing exponent is plain float arithmetic
+    values, prefs = [0.0, 0.0], [[0.25] * 4 for _ in range(2)]
     cfg = cfg_unit_scale(k_plus=1e308, k_minus=-1e308, exponent_clamp=MAX_EXPONENT)
     qirl_update(values, prefs, 0, 2, 1e300, 1, cfg)  # factor exp(clamp)
-    assert prefs[0].sum() == pytest.approx(1.0) and prefs[0, 2] == pytest.approx(1.0)
-    assert prefs[0].min() > 0.0
+    assert sum(prefs[0]) == pytest.approx(1.0) and prefs[0][2] == pytest.approx(1.0)
+    assert min(prefs[0]) > 0.0
     qirl_update(values, prefs, 0, 2, 1e300, 0, cfg)  # a rebound, punished: exp(-clamp) on the entry near 1
-    assert prefs[0].sum() == pytest.approx(1.0) and prefs[0].min() > 0.0
+    assert sum(prefs[0]) == pytest.approx(1.0) and min(prefs[0]) > 0.0
 
 
 def test_alpha_decay_schedule():
@@ -200,10 +202,10 @@ def test_epsilon_greedy_selection():
     q = np.zeros((1, 4))
     q[0] = [0.0, 2.0, 1.0, 0.0]
     greedy = ExplorationSchedule("epsilon_greedy", 0.0, 1.0, 0.0)
-    assert all(ql_select(q, 0, greedy, 0, rng_of(4)) == 1 for _ in range(10))
+    assert all(ql_select(q, 0, greedy.kind, greedy.value(0), rng_of(4)) == 1 for _ in range(10))
     explore = ExplorationSchedule("epsilon_greedy", 1.0, 1.0, 1.0)
     rng = rng_of(5)
-    seen = {ql_select(q, 0, explore, 0, rng) for _ in range(200)}
+    seen = {ql_select(q, 0, explore.kind, explore.value(0), rng) for _ in range(200)}
     assert seen == {0, 1, 2, 3}
 
 
@@ -212,7 +214,7 @@ def test_epsilon_greedy_breaks_ties_uniformly():
     q[0] = [1.0, 1.0, 0.0, 0.0]
     greedy = ExplorationSchedule("epsilon_greedy", 0.0, 1.0, 0.0)
     rng = rng_of(6)
-    counts = np.bincount([ql_select(q, 0, greedy, 0, rng) for _ in range(4000)], minlength=4)
+    counts = np.bincount([ql_select(q, 0, greedy.kind, greedy.value(0), rng) for _ in range(4000)], minlength=4)
     assert counts[2] == counts[3] == 0
     assert abs(counts[0] - counts[1]) < 300
 
@@ -221,7 +223,7 @@ def test_epsilon_greedy_consumes_two_uniforms_even_when_greedy():
     q = np.zeros((1, 4))
     greedy = ExplorationSchedule("epsilon_greedy", 0.0, 1.0, 0.0)
     a, b = rng_of(7), rng_of(7)
-    ql_select(q, 0, greedy, 0, a)
+    ql_select(q, 0, greedy.kind, greedy.value(0), a)
     b.random()
     b.random()
     assert a.random() == b.random()
@@ -231,10 +233,10 @@ def test_boltzmann_selection_limits():
     q = np.zeros((1, 4))
     q[0] = [0.0, 1.0, 0.0, 0.0]
     cold = ExplorationSchedule("boltzmann", 1e-6, 1.0, 1e-6)
-    assert all(ql_select(q, 0, cold, 0, rng_of(8)) == 1 for _ in range(20))
+    assert all(ql_select(q, 0, cold.kind, cold.value(0), rng_of(8)) == 1 for _ in range(20))
     hot = ExplorationSchedule("boltzmann", 1e6, 1.0, 1e6)
     rng = rng_of(9)
-    counts = np.bincount([ql_select(q, 0, hot, 0, rng) for _ in range(8000)], minlength=4)
+    counts = np.bincount([ql_select(q, 0, hot.kind, hot.value(0), rng) for _ in range(8000)], minlength=4)
     assert np.all(np.abs(counts / 8000 - 0.25) < 0.03)  # near-uniform at high temperature
 
 
@@ -242,7 +244,7 @@ def test_boltzmann_survives_extreme_values():
     q = np.zeros((1, 4))
     q[0] = [1e8, -1e8, 0.0, 0.0]
     sched = ExplorationSchedule("boltzmann", 1.0, 1.0, 1.0)
-    assert all(ql_select(q, 0, sched, 0, rng_of(10)) == 0 for _ in range(20))
+    assert all(ql_select(q, 0, sched.kind, sched.value(0), rng_of(10)) == 0 for _ in range(20))
 
 
 def test_boltzmann_schedule_refuses_a_floor_below_the_minimum_temperature():
@@ -254,7 +256,7 @@ def test_boltzmann_schedule_refuses_a_floor_below_the_minimum_temperature():
         ExplorationSchedule("boltzmann", 1.0, 0.5, math.nan)
     sched = ExplorationSchedule("boltzmann", 1.0, 0.5, MIN_TEMPERATURE)
     assert min(sched.value(e) for e in range(200)) == MIN_TEMPERATURE
-    assert ql_select(np.zeros((1, 4)), 0, sched, 199, rng_of(11)) in range(4)
+    assert ql_select(np.zeros((1, 4)), 0, sched.kind, sched.value(199), rng_of(11)) in range(4)
     ExplorationSchedule("epsilon_greedy", 1.0, 0.5, 0.0)  # epsilon may reach 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         sched.floor = 0.0
@@ -263,7 +265,7 @@ def test_boltzmann_schedule_refuses_a_floor_below_the_minimum_temperature():
 def test_boltzmann_consumes_one_uniform():
     sched = ExplorationSchedule("boltzmann", 1.0, 1.0, 1.0)
     a, b = rng_of(12), rng_of(12)
-    ql_select(np.zeros((1, 4)), 0, sched, 0, a)
+    ql_select(np.zeros((1, 4)), 0, sched.kind, sched.value(0), a)
     b.random()
     assert a.random() == b.random()
 
@@ -292,31 +294,32 @@ def test_zero_learning_rate_freezes_values():
     assert prefs[0, 2] > 0.25  # the preference step still happens
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["-inf", "inf"])
 def test_value_that_overflows_is_refused_before_it_is_written(sign):
     """A rebound paying the largest double from a value of the largest double
     leaves the float range; the update raises, naming the state, and leaves
-    both tables as they were."""
+    both tables as they were. List tables, as the agent holds."""
     v_state = reward = sign * sys.float_info.max
-    values = np.array([v_state, 0.0])
-    prefs = np.full((2, 4), 0.25)
-    with pytest.raises(ValueError, match="value of state 0 overflowed to"):
+    values = [v_state, 0.0]
+    prefs = [[0.25] * 4 for _ in range(2)]
+    with pytest.raises(ValueError, match="value of state 0 overflowed to -?inf:"):
         qirl_update(values, prefs, 0, 1, reward, 0, cfg_unit_scale(alpha=1.0))
-    assert values.tolist() == [v_state, 0.0]
-    assert (prefs == 0.25).all()
+    assert values == [v_state, 0.0]
+    assert all(p == 0.25 for row in prefs for p in row)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["-inf", "inf"])
 def test_q_value_that_overflows_is_refused_before_it_is_written(sign):
     """The baselines' backup has the same guard: the largest double plus a
     bootstrap of the largest double raises, naming state and action, and
-    leaves the Q table as it was."""
-    q = np.zeros((2, 4))
-    q[1] = sign * sys.float_info.max
-    before = q.copy()
+    leaves the Q table as it was. A list table, as the agent holds."""
+    q = [[0.0] * 4, [sign * sys.float_info.max] * 4]
+    before = np.array(q).tobytes()
     with pytest.raises(ValueError, match="Q value of state 0, action 2 overflowed to"):
         ql_update(q, 0, 2, sign * sys.float_info.max, 1, alpha=1.0, gamma=1.0)
-    assert q.tobytes() == before.tobytes()
+    assert np.array(q).tobytes() == before
 
 
 def test_td_converges_on_deterministic_chain():
@@ -492,6 +495,58 @@ def test_floor_cascade_when_scaling_pushes_second_entry_under():
         assert math.fsum(row) == pytest.approx(1.0, abs=1e-9)
         lifted.append(list(row))
     assert lifted[0] == lifted[1]
+
+
+def loop_floor(p: list[float], floor: float) -> None:
+    """The iterative floor that the unrolled _apply_floor replaced, kept as
+    its reference: same operations, same order, any row length."""
+    if floor <= 0.0:
+        return
+    n = len(p)
+    floored = [v < floor for v in p]
+    for _ in range(n):
+        mass = 1.0 - floor * sum(floored)
+        free_sum = 0.0
+        for i in range(n):
+            if not floored[i]:
+                free_sum += p[i]
+        scale = mass / free_sum
+        newly = False
+        for i in range(n):
+            if not floored[i] and p[i] * scale < floor:
+                floored[i] = True
+                newly = True
+        if not newly:
+            for i in range(n):
+                v = floor if floored[i] else p[i] * scale
+                p[i] = v if v > floor else floor
+            return
+
+
+@st.composite
+def floor_rows(draw):
+    """A floor in [0, 0.01] and a 4-row summing to 1 as qirl_update leaves
+    it: up to three small entries, each under, at or just over the floor (so
+    that rescaling can push it under: a cascade) or anywhere up to 0.3, and
+    one entry holding the rest, in any order."""
+    floor = draw(st.floats(0.0, 0.01))
+    near = st.floats(0.0, 1.1).map(lambda x: x * floor)
+    small = draw(st.lists(near | st.floats(0.0, 0.3), min_size=3, max_size=3))
+    return floor, draw(st.permutations([*small, 1.0 - sum(small)]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(floor_rows())
+@example((0.01, [0.005, 0.01004, 0.48496, 0.5]))  # the cascade of the test above
+@example((0.01, [0.001, 0.002, 0.003, 0.994]))  # three entries floored, as most calls enter
+def test_unrolled_floor_matches_the_loop_bit_for_bit(case):
+    floor, row = case
+    want = list(row)
+    loop_floor(want, floor)
+    for make_row in (list, np.array):
+        got = make_row(row)
+        _apply_floor(got, floor)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_without_floor_preferences_may_vanish():

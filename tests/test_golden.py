@@ -20,7 +20,7 @@ from qirl_uav.agents import (
     QLearningAgent,
     default_boltzmann_schedule,
 )
-from qirl_uav.harness import make_rng, train
+from qirl_uav.harness import UNIFORM_BLOCK, make_rng, train
 
 from conftest import DESK_LAYOUT, TINY_LAYOUT
 
@@ -102,3 +102,15 @@ def test_train_draws_a_fixed_count_per_select(tiny_env, desk_env, kind):
             rng = make_rng(seed)
             logs = train(env, make(env), episodes, rng)
             assert philox_draws(rng) == per_select * sum(log.steps for log in logs)
+
+
+def test_train_draws_a_fixed_count_across_uniform_blocks(desk_env):
+    """train serves uniforms from blocks of UNIFORM_BLOCK; the cases above
+    stay inside the first block, while ten desk episodes of ql_eps cross
+    several block edges and must still leave two draws per select."""
+    per_select, make = AGENTS["ql_eps"]
+    rng = make_rng(0)
+    logs = train(desk_env, make(desk_env), 10, rng)
+    draws = philox_draws(rng)
+    assert draws == per_select * sum(log.steps for log in logs)
+    assert draws > 2 * UNIFORM_BLOCK and draws % UNIFORM_BLOCK != 0

@@ -1,6 +1,8 @@
 """Training loop, convergence metrics, output files, and reproducibility."""
 
+import gc
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,8 +10,15 @@ import numpy as np
 import pytest
 
 from qirl_uav import harness
-from qirl_uav.agents import QiRLAgent, QiRLConfig, default_boltzmann_schedule, default_epsilon_schedule
+from qirl_uav.agents import (
+    QiRLAgent,
+    QiRLConfig,
+    QLearningAgent,
+    default_boltzmann_schedule,
+    default_epsilon_schedule,
+)
 from qirl_uav.harness import (
+    UNIFORM_BLOCK,
     WINDOW,
     ConvergenceMetric,
     EpisodeLog,
@@ -51,6 +60,69 @@ def test_make_rng_is_deterministic_per_seed():
     b = [make_rng(7).random() for _ in range(3)]
     assert a == b
     assert make_rng(8).random() != a[0]
+
+
+def philox_draws(rng) -> int:
+    """Uniforms consumed so far, read from the Philox counter: each counter
+    step yields a block of four 64-bit outputs."""
+    state = rng.bit_generator.state
+    return int(state["state"]["counter"][0]) * 4 + int(state["buffer_pos"]) - 4
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, UNIFORM_BLOCK - 1, UNIFORM_BLOCK, UNIFORM_BLOCK + 1, 3 * UNIFORM_BLOCK + 5]
+)
+def test_block_uniforms_serve_and_settle_as_scalar_draws(count):
+    """The block server hands out exactly the uniforms of scalar draws, and
+    settle() leaves the generator's whole state where those draws would."""
+    rng, scalar = make_rng(5), make_rng(5)
+    uniforms = harness._BlockUniforms(rng)
+    served = [uniforms.random() for _ in range(count)]
+    uniforms.settle()
+    assert served == [scalar.random() for _ in range(count)]
+    assert repr(rng.bit_generator.state) == repr(scalar.bit_generator.state)
+    assert philox_draws(rng) == count
+
+
+def test_train_refused_partway_leaves_the_generator_settled():
+    """Q overflows on this field after about 4000 selects, past the first
+    uniform block: the refusal still leaves the generator at two draws per
+    select made, in the middle of a block."""
+    env = make_uniform_env(reward=0.999 * sys.float_info.max / 1000, max_steps=40)
+    agent = QLearningAgent(env, default_epsilon_schedule(), alpha=1.0)
+    selects = []
+    select = agent.select
+    agent.select = lambda state, rng: selects.append(state) or select(state, rng)
+    rng = make_rng(0)
+    with pytest.raises(ValueError, match="Q value of state .* overflowed to inf"):
+        train(env, agent, 300, rng)
+    assert philox_draws(rng) == 2 * len(selects)
+    assert philox_draws(rng) > UNIFORM_BLOCK and philox_draws(rng) % UNIFORM_BLOCK != 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_train_runs_with_the_collector_off_and_restores_it(enabled):
+    """Every select sees the cyclic collector off; train leaves it as the
+    caller had it, on return and on a refusal partway."""
+    seen = []
+
+    def watched(agent):
+        select = agent.select
+        agent.select = lambda state, rng: seen.append(gc.isenabled()) or select(state, rng)
+        return agent
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        env = make_uniform_env()
+        train(env, watched(QiRLAgent(env)), 20, make_rng(0))
+        assert gc.isenabled() is enabled
+        env = make_uniform_env(reward=0.999 * sys.float_info.max / 1000, max_steps=40)
+        with pytest.raises(ValueError, match="overflowed to inf"):
+            train(env, watched(QLearningAgent(env, default_epsilon_schedule(), alpha=1.0)), 300, make_rng(0))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen and not any(seen)
 
 
 # ---------------------------------------------------------------- metrics
@@ -222,6 +294,26 @@ def test_run_writes_all_outputs(tmp_path):
     assert first[:4] == ["0", "0", "0", "0"]
     assert (first[4], first[5]) == ("10.0", "10.0")
     assert first[6] == "0.0"
+
+
+def test_run_that_fails_mid_write_leaves_no_output(tmp_path, monkeypatch):
+    """The three files are written to temporary files and moved into place
+    together: a summary.json that fails to write leaves no temporary file,
+    no new output, and an earlier run's files byte-intact."""
+    fresh = tiny_config(tmp_path / "fresh", agent="ql_eps")
+    config = tiny_config(tmp_path, agent="ql_eps")
+    earlier = {path.name: path.read_bytes() for path in run(config).values()}
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.json, "dump", fail)
+    with pytest.raises(OSError, match="disk full"):
+        run(replace(config, seeds=(2, 3)))
+    assert {path.name: path.read_bytes() for path in Path(config.output_dir).iterdir()} == earlier
+    with pytest.raises(OSError, match="disk full"):
+        run(fresh)
+    assert list(Path(fresh.output_dir).iterdir()) == []
 
 
 def test_rerun_with_same_config_is_byte_identical(tmp_path):
