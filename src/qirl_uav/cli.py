@@ -144,14 +144,14 @@ def _cmd_metrics(args) -> int:
         raise _CliError(f"{summary_path}: 'oracle_return' must be a finite non-zero number")
     if not (isinstance(seeds, dict) and seeds and all(_is_seed_entry(k, v) for k, v in seeds.items())):
         raise _CliError(f"{summary_path}: 'seeds' must map integer seeds to entries with a numeric 'greedy_return'")
-    logs_by_seed: dict[int, list] = {}
-    for seed, log in read_episodes_csv(episodes_path):
-        logs_by_seed.setdefault(seed, []).append(log)
+    logs_of, want = read_episodes_csv(episodes_path), {int(key) for key in seeds}
+    if set(logs_of) != want:
+        raise _CliError(f"{episodes_path} holds seeds {sorted(logs_of)} but {summary_path} holds {sorted(want)}")
 
     print("seed,episodes_to_90pct,final_return_mean,oracle_gap")
     for seed_key in sorted(seeds, key=int):
         seed = int(seed_key)
-        metric = convergence_metrics(logs_by_seed.get(seed, []), oracle_return, seeds[seed_key]["greedy_return"])
+        metric = convergence_metrics(logs_of[seed], oracle_return, seeds[seed_key]["greedy_return"])
         print(
             f"{seed},{metric.episodes_to_90pct},"
             f"{'' if metric.final_return_mean is None else repr(metric.final_return_mean)},"

@@ -1,5 +1,6 @@
 """Seeded experiment runner: trains agents on a layout, writes episodes.csv,
-trajectory.csv, and summary.json, and computes convergence metrics.
+trajectory.csv, and summary.json, and computes convergence metrics. A seed's
+training record is one EpisodeLog of columns; no object is made per episode.
 
 Reproducibility protocol: each (config, seed) pair gets its own numpy Philox
 generator (counter-based), Generator(Philox(seed)). Selection draw counts are
@@ -16,7 +17,6 @@ import gc
 import hashlib
 import json
 import os
-from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -48,10 +48,10 @@ TRAJECTORY_COLUMNS = ("seed", "step", "cell_i", "cell_j", "x_m", "y_m", "reward"
 
 @dataclass(frozen=True)
 class EpisodeLog:
-    episode: int  # 1-based
-    total_return: float
-    steps: int
-    reached_terminal: bool
+    """One seed's training record as columns: episode k sits at index k - 1."""
+    returns: list[float]
+    steps: list[int]
+    reached: list[bool]  # whether the episode entered the terminal cell
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,7 @@ class _BlockUniforms:
         self.rng.random(self.pos)
 
 
-def train(
-    env: GridWorld,
-    agent,
-    episodes: int,
-    rng: np.random.Generator,
-    check_invariants: bool = False,
-) -> list[EpisodeLog]:
+def train(env: GridWorld, agent, episodes: int, rng: np.random.Generator, check_invariants: bool = False) -> EpisodeLog:
     """Run the episodic loop: select, move, update until terminal or budget.
 
     Moves are read from `env.transition_model` as lists; `update` gets `end`
@@ -155,26 +149,24 @@ def train(
     uniforms come from rng through _BlockUniforms, and rng ends, even on a
     refusal, where one rng.random() per draw would leave it. The loop makes no
     reference cycles, so the cyclic collector is off while it runs, then left
-    as the caller had it. An episode return outside the float range is
-    refused, as the learners refuse such a value. Every SPOT_CHECK_EVERY-th
-    episode is replayed from its recorded actions through `greedy_rollout`
-    (so through `env.step`) to re-verify the logged return. With
+    as the caller had it. Each episode appends to the returned EpisodeLog's
+    columns; a return outside the float range is refused, as the learners
+    refuse such a value. Every SPOT_CHECK_EVERY-th episode is replayed from
+    its recorded actions through `greedy_rollout` (so through `env.step`) to
+    re-verify the logged return. With
     check_invariants, every qirl update is followed by a preference-row audit
     (sum within 1e-9 of 1, entries at or above the floor).
     """
     nxt, rew = (column.tolist() for column in env.transition_model)
     budget, terminal = env.max_steps, env.terminal_state
     audit = check_invariants and isinstance(agent, QiRLAgent)
-    uniforms, logs = _BlockUniforms(rng), []
+    uniforms, log = _BlockUniforms(rng), EpisodeLog([], [], [])
     collecting = gc.isenabled()
-    gc.disable()  # else the kept logs start full-heap passes, whose cost varies with what the process holds
+    gc.disable()  # a pass would find no garbage, and its cost varies with what the process holds
     try:
         for episode in range(1, episodes + 1):
             actions = [] if episode % SPOT_CHECK_EVERY == 0 else None
-            s = env.start_state
-            total = 0.0
-            steps = 0
-            reached = False
+            s, total, steps, reached = env.start_state, 0.0, 0, False
             while steps < budget:
                 a = agent.select(s, uniforms)
                 s_next, reward = nxt[s][a], rew[s][a]
@@ -200,15 +192,17 @@ def train(
                 replayed = greedy_rollout(env, lambda _s, it=iter(actions): next(it)).total_return
                 if replayed != total:
                     raise AssertionError(f"episode {episode} return {total!r} != replayed {replayed!r}")
-            logs.append(EpisodeLog(episode, total, steps, reached))
+            log.returns.append(total)
+            log.steps.append(steps)
+            log.reached.append(reached)
     finally:
         if collecting:
             gc.enable()
         uniforms.settle()
-    return logs
+    return log
 
 
-def convergence_metrics(logs: list[EpisodeLog], optimal_return: float, greedy_return: float) -> ConvergenceMetric:
+def convergence_metrics(log: EpisodeLog, optimal_return: float, greedy_return: float) -> ConvergenceMetric:
     """Window-averaged convergence summary against the planner optimum.
 
     episodes_to_90pct is the first (1-based) episode whose trailing
@@ -217,10 +211,9 @@ def convergence_metrics(logs: list[EpisodeLog], optimal_return: float, greedy_re
     than WINDOW episodes. oracle_gap = (optimal - greedy) / optimal.
     """
     gap = (optimal_return - greedy_return) / optimal_return
-    if len(logs) < WINDOW:
+    if len(log.returns) < WINDOW:
         return ConvergenceMetric(None, None, gap)
-    returns = np.array([log.total_return for log in logs])
-    moving = np.convolve(returns, np.full(WINDOW, 1.0 / WINDOW), mode="valid")
+    moving = np.convolve(log.returns, np.full(WINDOW, 1.0 / WINDOW), mode="valid")
     final = float(moving[-1])
     reached = np.flatnonzero(moving >= 0.9 * final)
     episodes_to_90pct = int(reached[0]) + WINDOW if reached.size else None
@@ -249,20 +242,20 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_episodes_csv(path: Path, rows: Iterable[tuple[int, EpisodeLog]]) -> None:
+def write_episodes_csv(path: Path, logs_of: dict[int, EpisodeLog]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EPISODE_COLUMNS)
-        for seed, log in rows:
-            writer.writerow(
-                [seed, log.episode, _fmt(log.total_return), log.steps, "true" if log.reached_terminal else "false"]
-            )
+        for seed, log in logs_of.items():
+            n, reached = len(log.returns), ["true" if r else "false" for r in log.reached]
+            writer.writerows(zip([seed] * n, range(1, n + 1), map(_fmt, log.returns), log.steps, reached, strict=True))
 
 
-def read_episodes_csv(path: Path) -> list[tuple[int, EpisodeLog]]:
-    """Parse a file written by write_episodes_csv; a malformed row raises
-    ValueError naming the file and line."""
-    rows = []
+def read_episodes_csv(path: Path) -> dict[int, EpisodeLog]:
+    """Parse a file written by write_episodes_csv into each seed's record; a
+    malformed row, such as a return that is not finite, raises ValueError
+    naming the file and line. The episode field is checked, not kept."""
+    logs_of, last_seed = {}, None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != EPISODE_COLUMNS:
@@ -270,12 +263,22 @@ def read_episodes_csv(path: Path) -> list[tuple[int, EpisodeLog]]:
         for rec in reader:
             try:
                 seed, episode, total, steps, reached = rec
+                if seed != last_seed:
+                    log, last_seed = logs_of.setdefault(int(seed), EpisodeLog([], [], [])), seed
+                int(episode)
+                total, steps = float(total), int(steps)
+                if not _NEG_INF < total < _INF:
+                    raise ValueError(f"return must be finite, got {total!r}")
+                if steps < 1:
+                    raise ValueError(f"steps must be at least 1, got {steps}")
                 if reached not in ("true", "false"):
                     raise ValueError(f"reached_terminal must be true or false, got {reached!r}")
-                rows.append((int(seed), EpisodeLog(int(episode), float(total), int(steps), reached == "true")))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-    return rows
+            log.returns.append(total)
+            log.steps.append(steps)
+            log.reached.append(reached == "true")
+    return logs_of
 
 
 def write_trajectory_csv(path: Path, env: GridWorld, rollouts: dict[int, "Rollout"]) -> None:
@@ -328,11 +331,8 @@ def run(config: RunConfig) -> dict[str, Path]:
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "episodes": out_dir / "episodes.csv",
-        "trajectory": out_dir / "trajectory.csv",
-        "summary": out_dir / "summary.json",
-    }
+    files = {"episodes": "episodes.csv", "trajectory": "trajectory.csv", "summary": "summary.json"}
+    paths = {name: out_dir / file for name, file in files.items()}
     summary = {
         "agent": config.agent,
         "env_file": str(config.env_file),
@@ -347,7 +347,7 @@ def run(config: RunConfig) -> dict[str, Path]:
     }
     staged = {name: path.with_name(f".{path.name}.tmp") for name, path in paths.items()}
     try:
-        write_episodes_csv(staged["episodes"], ((seed, log) for seed, logs in logs_of.items() for log in logs))
+        write_episodes_csv(staged["episodes"], logs_of)
         write_trajectory_csv(staged["trajectory"], env, rollouts)
         with open(staged["summary"], "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)

@@ -241,8 +241,11 @@ def test_metrics_on_malformed_summary_is_config_error(tmp_path, capsys, summary,
         ("0,5,2.0", "not enough values to unpack"),
         ("0,5,2.0,4,false,9", "too many values to unpack"),
         ("0,5,2.0,4,maybe", "reached_terminal must be true or false, got 'maybe'"),
+        ("0,1,nan,4,true", "return must be finite, got nan"),
+        ("0,2,inf,-3,false", "return must be finite, got inf"),
+        ("0,2,1.5,0,false", "steps must be at least 1, got 0"),
     ],
-    ids=["truncated", "sixth-field", "not-a-bool"],
+    ids=["truncated", "sixth-field", "not-a-bool", "nan-return", "inf-return", "zero-steps"],
 )
 def test_metrics_on_malformed_episodes_row_is_config_error(tmp_path, capsys, row, complaint):
     episodes = tmp_path / "episodes.csv"
@@ -251,6 +254,24 @@ def test_metrics_on_malformed_episodes_row_is_config_error(tmp_path, capsys, row
     assert run_cli("metrics", "--in", str(tmp_path)) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert f"{episodes}, line 3: " in captured.err and complaint in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "summary_seeds, csv_seeds",
+    [((0, 1), (0,)), ((0,), (0, 5))],
+    ids=["summary-seed-without-rows", "rows-of-a-seed-the-summary-lacks"],
+)
+def test_metrics_on_mismatched_seeds_is_config_error(tmp_path, capsys, summary_seeds, csv_seeds):
+    """Each seed of summary.json needs rows in episodes.csv, and no rows may
+    belong to a seed summary.json lacks; the error names both seed sets."""
+    rows = "".join(f"{seed},1,1.0,4,true\n" for seed in csv_seeds)
+    (tmp_path / "episodes.csv").write_text(f"seed,episode,return,steps,reached_terminal\n{rows}")
+    seeds = {str(seed): {"greedy_return": 1.0} for seed in summary_seeds}
+    (tmp_path / "summary.json").write_text(json.dumps({"seeds": seeds, "oracle_return": 13.0}))
+    assert run_cli("metrics", "--in", str(tmp_path)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"seeds {list(csv_seeds)}" in captured.err and f"holds {list(summary_seeds)}" in captured.err
     assert captured.out == ""
 
 

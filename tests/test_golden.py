@@ -101,7 +101,7 @@ def test_train_draws_a_fixed_count_per_select(tiny_env, desk_env, kind):
         for seed in (0, 1):
             rng = make_rng(seed)
             logs = train(env, make(env), episodes, rng)
-            assert philox_draws(rng) == per_select * sum(log.steps for log in logs)
+            assert philox_draws(rng) == per_select * sum(logs.steps)
 
 
 def test_train_draws_a_fixed_count_across_uniform_blocks(desk_env):
@@ -112,5 +112,5 @@ def test_train_draws_a_fixed_count_across_uniform_blocks(desk_env):
     rng = make_rng(0)
     logs = train(desk_env, make(desk_env), 10, rng)
     draws = philox_draws(rng)
-    assert draws == per_select * sum(log.steps for log in logs)
+    assert draws == per_select * sum(logs.steps)
     assert draws > 2 * UNIFORM_BLOCK and draws % UNIFORM_BLOCK != 0

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qirl_uav import harness
 from qirl_uav.agents import (
@@ -37,8 +39,8 @@ from qirl_uav.oracle import dp_optimal
 from conftest import TINY_LAYOUT, make_uniform_env
 
 
-def logs_of(returns) -> list[EpisodeLog]:
-    return [EpisodeLog(i + 1, float(r), 4, True) for i, r in enumerate(returns)]
+def log_of(returns) -> EpisodeLog:
+    return EpisodeLog([float(r) for r in returns], [4] * len(returns), [True] * len(returns))
 
 
 def tiny_config(tmp_path, agent="qirl", episodes=30, seeds=(0, 1), **kw) -> RunConfig:
@@ -129,7 +131,7 @@ def test_train_runs_with_the_collector_off_and_restores_it(enabled):
 
 
 def test_constant_returns_converge_at_first_full_window():
-    metric = convergence_metrics(logs_of([5.0] * 200), _oracle_13(), greedy_return=13.0)
+    metric = convergence_metrics(log_of([5.0] * 200), _oracle_13(), greedy_return=13.0)
     assert metric.episodes_to_90pct == WINDOW
     assert metric.final_return_mean == pytest.approx(5.0)
     assert metric.oracle_gap == 0.0
@@ -137,7 +139,7 @@ def test_constant_returns_converge_at_first_full_window():
 
 def test_step_improvement_is_located_inside_the_window():
     returns = [0.0] * 100 + [10.0] * 100
-    metric = convergence_metrics(logs_of(returns), _oracle_13(), greedy_return=13.0)
+    metric = convergence_metrics(log_of(returns), _oracle_13(), greedy_return=13.0)
     # the curve jumps at episode 101; the trailing mean crosses 90% of its
     # final level once 45 of the 50 window entries are post-jump
     assert metric.episodes_to_90pct == 145
@@ -145,16 +147,16 @@ def test_step_improvement_is_located_inside_the_window():
 
 
 def test_metrics_undefined_below_window():
-    metric = convergence_metrics(logs_of([1.0] * (WINDOW - 1)), _oracle_13(), greedy_return=6.5)
+    metric = convergence_metrics(log_of([1.0] * (WINDOW - 1)), _oracle_13(), greedy_return=6.5)
     assert metric.episodes_to_90pct is None
     assert metric.final_return_mean is None
     assert metric.oracle_gap == 0.5
 
 
 def test_oracle_gap_sign_and_scale():
-    metric = convergence_metrics(logs_of([1.0] * 60), _oracle_13(), greedy_return=0.0)
+    metric = convergence_metrics(log_of([1.0] * 60), _oracle_13(), greedy_return=0.0)
     assert metric.oracle_gap == 1.0
-    better = convergence_metrics(logs_of([1.0] * 60), _oracle_13(), greedy_return=13.0)
+    better = convergence_metrics(log_of([1.0] * 60), _oracle_13(), greedy_return=13.0)
     assert better.oracle_gap == 0.0
 
 
@@ -167,16 +169,16 @@ def _oracle_13():
 
 def test_train_logs_one_entry_per_episode(tiny_env):
     agent = QiRLAgent(tiny_env)
-    logs = train(tiny_env, agent, 120, make_rng(0))
-    assert len(logs) == 120
-    assert [log.episode for log in logs] == list(range(1, 121))
-    assert all(1 <= log.steps <= tiny_env.max_steps for log in logs)
-    assert all(np.isfinite(log.total_return) for log in logs)
+    log = train(tiny_env, agent, 120, make_rng(0))
+    # episode k sits at index k - 1 of every column
+    assert len(log.returns) == len(log.steps) == len(log.reached) == 120
+    assert all(1 <= steps <= tiny_env.max_steps for steps in log.steps)
+    assert all(np.isfinite(total) for total in log.returns)
     # reached_terminal episodes are exactly those shorter than the budget,
     # plus budget-length ones whose last move entered the terminal cell
-    for log in logs:
-        if log.steps < tiny_env.max_steps:
-            assert log.reached_terminal
+    for steps, reached in zip(log.steps, log.reached):
+        if steps < tiny_env.max_steps:
+            assert reached
 
 
 def test_train_invariant_instrumentation_passes(tiny_env):
@@ -247,14 +249,51 @@ def test_run_config_validation(tmp_path):
 
 
 def test_episodes_csv_roundtrip_preserves_floats(tmp_path):
-    rows = [
-        (0, EpisodeLog(1, 0.1 + 0.2, 4, False)),
-        (0, EpisodeLog(2, 1e-17, 3, True)),
-        (7, EpisodeLog(1, 123456.78901234567, 4, True)),
-    ]
+    logs_of = {
+        0: EpisodeLog([0.1 + 0.2, 1e-17], [4, 3], [False, True]),
+        7: EpisodeLog([123456.78901234567], [4], [True]),
+    }
     path = tmp_path / "episodes.csv"
-    write_episodes_csv(path, rows)
-    assert read_episodes_csv(path) == rows
+    write_episodes_csv(path, logs_of)
+    assert read_episodes_csv(path) == logs_of
+
+
+EXTREME_RETURNS = (-0.0, 5e-324, sys.float_info.max, -sys.float_info.max)
+FINITE_RETURNS = st.one_of(st.sampled_from(EXTREME_RETURNS), st.floats(allow_nan=False, allow_infinity=False))
+EPISODE_ROWS = st.lists(st.tuples(FINITE_RETURNS, st.integers(1, 10**6), st.booleans()), min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(st.integers(0, 2**31), EPISODE_ROWS, min_size=1, max_size=3))
+@example({0: [(-0.0, 1, True), (5e-324, 2, False)], 3: [(sys.float_info.max, 4, True), (-sys.float_info.max, 1, False)]})
+def test_episodes_csv_roundtrip_is_exact_for_any_finite_record(tmp_path, rows_of):
+    """read_episodes_csv inverts write_episodes_csv: same seeds in the same
+    order, and every return's bits (float.hex tells -0.0 from 0.0)."""
+    logs_of = {seed: EpisodeLog(*map(list, zip(*rows))) for seed, rows in rows_of.items()}
+    path = tmp_path / "episodes.csv"
+    write_episodes_csv(path, logs_of)
+    back = read_episodes_csv(path)
+    assert list(back) == list(logs_of)
+    for seed, log in logs_of.items():
+        assert [r.hex() for r in back[seed].returns] == [r.hex() for r in log.returns]
+        assert (back[seed].steps, back[seed].reached) == (log.steps, log.reached)
+
+
+def test_records_add_few_objects_for_the_collector(tiny_env, tmp_path):
+    """A seed's record is three lists of numbers, which the cyclic collector
+    does not track: neither a 2000-episode train nor reading back 20 seeds x
+    2000 rows leaves an object per episode for it to scan."""
+    agent, rng, path = QiRLAgent(tiny_env), make_rng(0), tmp_path / "episodes.csv"
+    gc.collect()
+    before = len(gc.get_objects())
+    log = train(tiny_env, agent, 2000, rng)
+    assert len(gc.get_objects()) - before < 100
+    write_episodes_csv(path, dict.fromkeys(range(20), log))
+    gc.collect()
+    before = len(gc.get_objects())
+    logs_of = read_episodes_csv(path)
+    assert len(gc.get_objects()) - before < 100
+    assert logs_of == dict.fromkeys(range(20), log)
 
 
 def test_episodes_csv_rejects_foreign_header(tmp_path):
@@ -266,9 +305,9 @@ def test_episodes_csv_rejects_foreign_header(tmp_path):
 
 def test_run_writes_all_outputs(tmp_path):
     paths = run(tiny_config(tmp_path, agent="ql_eps", episodes=60, seeds=(0, 1), alpha=0.5))
-    episodes = read_episodes_csv(paths["episodes"])
-    assert len(episodes) == 120
-    assert sorted({seed for seed, _ in episodes}) == [0, 1]
+    logs_of = read_episodes_csv(paths["episodes"])
+    assert sum(len(log.returns) for log in logs_of.values()) == 120
+    assert sorted(logs_of) == [0, 1]
 
     with open(paths["summary"]) as fh:
         summary = json.load(fh)
@@ -328,8 +367,8 @@ def test_rerun_with_same_config_is_byte_identical(tmp_path):
 def test_seed_changes_the_episode_stream(tmp_path):
     a = run(tiny_config(tmp_path / "a", seeds=(0,), episodes=60))
     b = run(tiny_config(tmp_path / "b", seeds=(1,), episodes=60))
-    ret_a = [log.total_return for _, log in read_episodes_csv(a["episodes"])]
-    ret_b = [log.total_return for _, log in read_episodes_csv(b["episodes"])]
+    ret_a = read_episodes_csv(a["episodes"])[0].returns
+    ret_b = read_episodes_csv(b["episodes"])[1].returns
     assert ret_a != ret_b
 
 
