@@ -120,6 +120,15 @@ GOLDEN_HASHES = {
     ("ql_eps", "--explore-floor", "0.05"): "56cd903091ee7c41f643969ffa5ea21feaef344656409ec1570232cce5b3a628",
     ("ql_boltz",): "bf6d9a25cbf2eb08d5424efcef95604f3cf33b53d5c47c97f21e99154d546bff",
     ("ql_boltz", "--explore-decay", "0.5"): "885cb689986e95155a2650087cf31dd56cbcfe2fced51cda229a9f91a9dce85e",
+    (
+        "qirl", "--alpha", "0.5", "--k-plus", "0.5", "--k-minus", "-0.25", "--reward-scale", "2",
+        "--exponent-clamp", "5", "--p-floor", "0.01", "--alpha-decay", "0.1",
+    ): "fbcb293b971ee9a297cb87bcddb276caaaed1415c8544932434861510ebf766b",
+    (
+        "ql_eps", "--alpha", "0.5", "--gamma", "0.9",
+        "--explore-initial", "0.5", "--explore-decay", "0.9", "--explore-floor", "0.05",
+    ): "76aea35051be6e84b64a468288748159a7dc026d8571c4b1543956fc1b010b73",
+    ("ql_boltz", "--alpha", "0.5", "--gamma", "0.8"): "4b29e470fbc8564362c902edeb9ee92e8e1dd7ba5e6aaab5ad02b788a2fccfd8",
 }
 
 
