@@ -6,6 +6,7 @@ from .agents import (
     ExplorationSchedule,
     QiRLAgent,
     QiRLConfig,
+    QLConfig,
     QLearningAgent,
     Rollout,
     default_boltzmann_schedule,

@@ -7,10 +7,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .gridworld import N_ACTIONS, FieldError, GridWorld
+from .gridworld import N_ACTIONS, GridWorld
 from .quantum import sample_index
 
 MIN_TEMPERATURE = 1e-12
@@ -31,6 +32,7 @@ class QiRLConfig:
     Every rule refuses NaN and infinity; frozen, so none is bypassed later.
     """
 
+    kind: ClassVar[str] = "qirl"  # a ClassVar: no field, so not in asdict or the config hash
     alpha: float = 0.1
     k_plus: float = 1.0
     k_minus: float = -1.0
@@ -71,13 +73,13 @@ class ExplorationSchedule:
 
     def __post_init__(self):
         if self.kind not in ("epsilon_greedy", "boltzmann"):
-            raise FieldError("kind", f"unknown schedule kind {self.kind!r}")
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0.0 <= self.initial < math.inf:
-            raise FieldError("initial", "initial must be non-negative and finite")
+            raise ValueError("initial must be non-negative and finite")
         if not 0.0 < self.decay <= 1.0:
-            raise FieldError("decay", "decay must lie in (0, 1]")
+            raise ValueError("decay must lie in (0, 1]")
         if not (MIN_TEMPERATURE if self.kind == "boltzmann" else 0.0) <= self.floor < math.inf:
-            raise FieldError("floor", f"floor must be at least {MIN_TEMPERATURE:g} for boltzmann (else 0) and finite")
+            raise ValueError(f"floor must be at least {MIN_TEMPERATURE:g} for boltzmann (else 0) and finite")
 
     def value(self, episode: int) -> float:
         return max(self.floor, self.initial * self.decay**episode)
@@ -89,15 +91,43 @@ def default_epsilon_schedule(**overrides: float) -> ExplorationSchedule:
 
 def default_boltzmann_schedule(terminal_bonus: float, **overrides: float) -> ExplorationSchedule:
     """tau from the terminal bonus down to 1% of it; overrides replace any of
-    initial, decay, floor. A default floor below MIN_TEMPERATURE names the bonus."""
-    defaults = {"initial": terminal_bonus, "decay": 0.995, "floor": 0.01 * terminal_bonus}
-    try:
-        return ExplorationSchedule("boltzmann", **{**defaults, **overrides})
-    except FieldError as exc:
-        if exc.field != "floor" or "floor" in overrides:
-            raise
-        message = f"default Boltzmann floor (1% of terminal bonus {terminal_bonus:g}) is below {MIN_TEMPERATURE:g}"
-        raise FieldError("floor", f"{message}: set one with --explore-floor") from None
+    initial, decay, floor. A default floor below MIN_TEMPERATURE names the
+    bonus, once the other fields pass, as the schedule checks its floor last."""
+    fields = {"initial": terminal_bonus, "decay": 0.995, "floor": 0.01 * terminal_bonus, **overrides}
+    if "floor" in overrides or fields["floor"] >= MIN_TEMPERATURE:
+        return ExplorationSchedule("boltzmann", **fields)
+    ExplorationSchedule("boltzmann", **{**fields, "floor": MIN_TEMPERATURE})  # another field's error first
+    message = f"default Boltzmann floor (1% of terminal bonus {terminal_bonus:g}) is below {MIN_TEMPERATURE:g}"
+    raise ValueError(f"{message}: set one with --explore-floor")
+
+
+@dataclass(frozen=True)
+class QLConfig:
+    """Settings of a Q-learning baseline, kind "ql_eps" or "ql_boltz". An
+    explore_* value left None keeps that field of the kind's default schedule;
+    schedule() resolves it against the env's terminal bonus, which Boltzmann's
+    default scales with. alpha and gamma are checked by QLearningAgent."""
+
+    kind: str
+    alpha: float = 0.1
+    gamma: float = 1.0
+    explore_initial: float | None = None
+    explore_decay: float | None = None
+    explore_floor: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("ql_eps", "ql_boltz"):
+            raise ValueError(f"kind must be ql_eps or ql_boltz, got {self.kind!r}")
+
+    @property
+    def explore_overrides(self) -> dict[str, float]:
+        given = {"initial": self.explore_initial, "decay": self.explore_decay, "floor": self.explore_floor}
+        return {name: value for name, value in given.items() if value is not None}
+
+    def schedule(self, terminal_bonus: float) -> ExplorationSchedule:
+        if self.kind == "ql_eps":
+            return default_epsilon_schedule(**self.explore_overrides)
+        return default_boltzmann_schedule(terminal_bonus, **self.explore_overrides)
 
 
 def qirl_select(prefs, state: int, rng) -> int:
@@ -214,8 +244,10 @@ def ql_select(q, state: int, kind: str, value: float, rng) -> int:
 
     epsilon-greedy consumes two uniforms per call (branch, then action or
     tie-break); Boltzmann consumes one, in quantum.sample_index. Softmax
-    subtracts the row max before exponentiating, so extreme Q values cannot
-    overflow, and ExplorationSchedule keeps the temperature >= MIN_TEMPERATURE.
+    subtracts the largest q/tau before exponentiating; where q/tau itself
+    overflows, that is inf - inf, so it weights each action by
+    exp((q - max q) / tau) instead, whose largest weight is 1. ExplorationSchedule
+    keeps the temperature >= MIN_TEMPERATURE.
     """
     row = q[state]
     if kind == "epsilon_greedy":
@@ -229,6 +261,10 @@ def ql_select(q, state: int, kind: str, value: float, rng) -> int:
     q0, q1, q2, q3 = row
     z0, z1, z2, z3 = q0 / value, q1 / value, q2 / value, q3 / value
     top = max(z0, z1, z2, z3)
+    if not _NEG_INF < top < _INF:  # q/tau overflowed
+        q_max = max(q0, q1, q2, q3)
+        z0, z1, z2, z3 = (q0 - q_max) / value, (q1 - q_max) / value, (q2 - q_max) / value, (q3 - q_max) / value
+        top = 0.0
     w0, w1, w2, w3 = math.exp(z0 - top), math.exp(z1 - top), math.exp(z2 - top), math.exp(z3 - top)
     total = w0 + w1 + w2 + w3
     return sample_index((w0 / total, w1 / total, w2 / total, w3 / total), rng)

@@ -10,9 +10,10 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .agents import QiRLConfig
+from .agents import QiRLConfig, QLConfig
 from .gridworld import build
 from .harness import AGENT_KINDS, RunConfig, convergence_metrics, read_episodes_csv, run
 from .layout import LayoutError, parse_layout
@@ -21,11 +22,6 @@ from .oracle import dp_optimal
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
-
-
-_QIRL_KNOBS = ("k_plus", "k_minus", "reward_scale", "exponent_clamp", "p_floor", "alpha_decay")
-_EXPLORE_KNOBS = ("explore_initial", "explore_decay", "explore_floor")
-_BASELINE_KNOBS = ("gamma",) + _EXPLORE_KNOBS
 
 
 class _CliError(Exception):
@@ -47,7 +43,8 @@ def _build_parser() -> _Parser:
     runp.add_argument("--episodes", required=True, type=int)
     runp.add_argument("--seeds", required=True, help="comma-separated integers, e.g. 0,1,2")
     runp.add_argument("--out", required=True, help="output directory")
-    # Agent knobs left out keep the default of the config dataclass that owns them.
+    # One float flag per field of QiRLConfig and QLConfig, its dest the field's name;
+    # a knob left out keeps the default of the config that owns it.
     runp.add_argument("--alpha", type=float, help="learning rate")
     runp.add_argument("--gamma", type=float, help="baseline discount")
     runp.add_argument("--alpha-decay", type=float, help="qirl: c in alpha/(1+c*k)")
@@ -77,31 +74,24 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         seeds = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise _CliError(f"seeds must be comma-separated integers, got {text!r}")
-    if not seeds:
-        raise _CliError("at least one seed is required")
     return seeds
 
 
-def _given(args, names: tuple[str, ...]) -> dict:
-    """The knobs among `names` that the user gave, keyed by argparse dest."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
 def _cmd_run(args) -> int:
-    is_qirl = args.agent == "qirl"
-    foreign = _given(args, _BASELINE_KNOBS if is_qirl else _QIRL_KNOBS)
+    """The knob flags given go to the agent kind's config, sorted by its
+    fields; a flag that is no field of it is refused."""
+    learner_type = QiRLConfig if args.agent == "qirl" else QLConfig
+    flags, own = vars(args), {f.name for f in fields(learner_type)}
+    given = {f.name: flags[f.name] for t in (QiRLConfig, QLConfig) for f in fields(t) if flags.get(f.name) is not None}
+    foreign = [name for name in given if name not in own]
     if foreign:
-        flag = "--" + next(iter(foreign)).replace("_", "-")
-        raise _CliError(f"{flag} does not apply to --agent {args.agent}")
+        raise _CliError(f"--{foreign[0].replace('_', '-')} does not apply to --agent {args.agent}")
     config = RunConfig(
         env_file=args.config,
-        agent=args.agent,
-        episodes=args.episodes,
         seeds=_parse_seeds(args.seeds),
+        learner=QiRLConfig(**given) if learner_type is QiRLConfig else QLConfig(args.agent, **given),
+        episodes=args.episodes,
         output_dir=args.out,
-        qirl=QiRLConfig(**_given(args, ("alpha",) + _QIRL_KNOBS)) if is_qirl else None,
-        explore={name.removeprefix("explore_"): value for name, value in _given(args, _EXPLORE_KNOBS).items()},
-        **_given(args, ("alpha", "gamma")),
     )
     paths = run(config)
     for name in ("episodes", "trajectory", "summary"):

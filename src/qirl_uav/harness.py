@@ -17,22 +17,12 @@ import gc
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .agents import (
-    _INF,
-    _NEG_INF,
-    ExplorationSchedule,
-    QiRLAgent,
-    QiRLConfig,
-    QLearningAgent,
-    default_boltzmann_schedule,
-    default_epsilon_schedule,
-    greedy_rollout,
-)
+from .agents import _INF, _NEG_INF, QiRLAgent, QiRLConfig, QLConfig, QLearningAgent, greedy_rollout
 from .gridworld import GridWorld, build
 from .layout import parse_layout
 from .oracle import dp_optimal
@@ -63,36 +53,16 @@ class ConvergenceMetric:
 
 @dataclass
 class RunConfig:
-    """One run's settings. explore overrides some of initial, decay and floor
-    of a baseline's default schedule; make_agent builds that schedule from the
-    env, as Boltzmann's scales with its terminal bonus."""
+    """One run's settings. learner holds every setting of its agent kind,
+    learner.kind; make_agent builds the agent from it."""
 
     env_file: str
-    agent: str
+    learner: QiRLConfig | QLConfig
     episodes: int
     seeds: tuple[int, ...]
     output_dir: str
-    alpha: float = 0.1
-    gamma: float = 1.0  # baselines only; the qirl agent is pinned at 1
-    qirl: QiRLConfig | None = None  # qirl only; None: QiRLConfig(alpha=alpha)
-    explore: dict[str, float] = field(default_factory=dict)  # baselines only
 
     def __post_init__(self):
-        if self.agent not in AGENT_KINDS:
-            raise ValueError(f"agent must be one of {AGENT_KINDS}, got {self.agent!r}")
-        # a knob this agent kind would ignore is refused, so the hash covers exactly what trains
-        if self.agent == "qirl":
-            self.qirl = self.qirl or QiRLConfig(alpha=self.alpha)
-            ignored = {"exploration overrides": self.explore, "gamma != 1": self.gamma != 1.0}
-            ignored["qirl.alpha != alpha"] = self.qirl.alpha != self.alpha
-        else:
-            ignored = {"a qirl config": self.qirl}
-        for knob, given in ignored.items():
-            if given:
-                raise ValueError(f"agent {self.agent!r} does not take {knob}")
-        unknown = set(self.explore) - {"initial", "decay", "floor"}
-        if unknown:
-            raise ValueError(f"exploration override {min(unknown)!r} is not one of initial, decay, floor")
         if self.episodes < 1:
             raise ValueError("episodes must be at least 1")
         if not self.seeds:
@@ -107,16 +77,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def make_agent(config: RunConfig, env: GridWorld):
-    """A fresh agent for one seed: qirl from config.qirl, a baseline from its
-    kind's default schedule for env, built once with config.explore applied."""
-    if config.agent == "qirl":
-        return QiRLAgent(env, config.qirl)
-    if config.agent == "ql_eps":
-        schedule = default_epsilon_schedule(**config.explore)
-    else:
-        schedule = default_boltzmann_schedule(env.terminal_bonus, **config.explore)
-    return QLearningAgent(env, schedule, alpha=config.alpha, gamma=config.gamma)
+def make_agent(learner: QiRLConfig | QLConfig, env: GridWorld):
+    """A fresh agent for one seed: qirl from its config, a baseline with its
+    kind's schedule resolved against env."""
+    if learner.kind == "qirl":
+        return QiRLAgent(env, learner)
+    return QLearningAgent(env, learner.schedule(env.terminal_bonus), alpha=learner.alpha, gamma=learner.gamma)
 
 
 class _BlockUniforms:
@@ -220,20 +186,25 @@ def convergence_metrics(log: EpisodeLog, optimal_return: float, greedy_return: f
     return ConvergenceMetric(episodes_to_90pct, final, gap)
 
 
-def config_hash(config: RunConfig, env_file_bytes: bytes, schedule: ExplorationSchedule | None = None) -> str:
-    """SHA-256 over the layout bytes and every setting that trains. schedule,
-    make_agent's resolution of config.explore, is hashed only when explore is
-    non-empty. The qirl entry keeps the learner's fixed gamma of 1, so hashes
-    match those of earlier runs."""
+def config_hash(config: RunConfig, env_file_bytes: bytes, terminal_bonus: float | None = None) -> str:
+    """SHA-256 over the layout bytes and every setting that trains. A
+    baseline's schedule is hashed only when an explore_* override is set,
+    resolved as make_agent does, so a Boltzmann override needs the env's
+    terminal_bonus. A qirl run keeps the learner's fixed gamma of 1 in its
+    entries, so hashes match those of earlier runs."""
+    learner = config.learner
+    if learner.kind == "qirl":
+        knobs = {"gamma": 1.0, "qirl": {**asdict(learner), "gamma": 1.0}, "schedule": None}
+    else:
+        schedule = asdict(learner.schedule(terminal_bonus)) if learner.explore_overrides else None
+        knobs = {"gamma": learner.gamma, "qirl": None, "schedule": schedule}
     payload = {
         "env_sha256": hashlib.sha256(env_file_bytes).hexdigest(),
-        "agent": config.agent,
+        "agent": learner.kind,
         "episodes": config.episodes,
         "seeds": list(config.seeds),
-        "alpha": config.alpha,
-        "gamma": config.gamma,
-        "qirl": {**asdict(config.qirl), "gamma": 1.0} if config.qirl is not None else None,
-        "schedule": asdict(schedule) if config.explore else None,
+        "alpha": learner.alpha,
+        **knobs,
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -310,7 +281,7 @@ def run(config: RunConfig) -> dict[str, Path]:
 
     logs_of, rollouts = {}, {}
     for seed in config.seeds:
-        agent = make_agent(config, env)
+        agent = make_agent(config.learner, env)
         logs_of[seed] = train(env, agent, config.episodes, make_rng(seed))
         rollouts[seed] = greedy_rollout(env, agent.greedy_action)
     oracle = dp_optimal(env)
@@ -334,9 +305,9 @@ def run(config: RunConfig) -> dict[str, Path]:
     files = {"episodes": "episodes.csv", "trajectory": "trajectory.csv", "summary": "summary.json"}
     paths = {name: out_dir / file for name, file in files.items()}
     summary = {
-        "agent": config.agent,
+        "agent": config.learner.kind,
         "env_file": str(config.env_file),
-        "config_hash": config_hash(config, env_bytes, agent.schedule if config.explore else None),
+        "config_hash": config_hash(config, env_bytes, env.terminal_bonus),
         "episodes": config.episodes,
         "window": WINDOW,
         "oracle_return": oracle.optimal_return,

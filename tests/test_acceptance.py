@@ -298,7 +298,7 @@ def test_10_identical_config_reproduces_byte_identical_outputs(tmp_path):
         return run(
             RunConfig(
                 env_file=str(TINY_LAYOUT),
-                agent="qirl",
+                learner=QiRLConfig(),
                 episodes=120,
                 seeds=(0, 1),
                 output_dir=str(tmp_path / dirname),

@@ -247,6 +247,24 @@ def test_boltzmann_survives_extreme_values():
     assert all(ql_select(q, 0, sched.kind, sched.value(0), rng_of(10)) == 0 for _ in range(20))
 
 
+@pytest.mark.parametrize(
+    "row, argmax",
+    [([1e300, 2e300, -1e300, 0.0], {1}), ([-1e300, -2e300, -1e300, -3e300], {0, 2})],
+    ids=["q-over-tau-overflows-to-inf", "q-over-tau-overflows-to-minus-inf"],
+)
+def test_boltzmann_draws_the_argmax_when_q_over_tau_overflows(row, argmax):
+    """q/tau past the float range once made every weight NaN, so the sampler
+    fell through to action 3; the draw is the argmax, ties split evenly, and
+    each call still consumes one uniform."""
+    rng, twin = rng_of(13), rng_of(13)
+    picks = [ql_select([row], 0, "boltzmann", MIN_TEMPERATURE, rng) for _ in range(2000)]
+    twin.random(2000)
+    assert rng.random() == twin.random()
+    counts = np.bincount(picks, minlength=4)
+    assert set(np.flatnonzero(counts)) == argmax
+    assert all(abs(counts[a] / 2000 - 1 / len(argmax)) < 0.05 for a in argmax)
+
+
 def test_boltzmann_schedule_refuses_a_floor_below_the_minimum_temperature():
     # the schedule is the one guard: value() never drops below the floor, and
     # ql_select divides by whatever temperature it is given

@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, output wiring, and exit codes."""
 
 import argparse
+import dataclasses
 import json
 
 import pytest
 
 from qirl_uav import cli, gridworld, harness
-from qirl_uav.agents import QiRLConfig
+from qirl_uav.agents import QiRLConfig, QLConfig
 from qirl_uav.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qirl_uav.harness import RunConfig, config_hash
 
@@ -62,7 +63,7 @@ def test_plain_qirl_run_hashes_the_default_qirl_config(tmp_path):
     out = tmp_path / "q"
     common = ["--agent", "qirl", "--episodes", "30", "--seeds", "0", "--out", str(out)]
     assert run_cli("run", "--config", TINY, *common) == EXIT_OK
-    expected = RunConfig(env_file=TINY, agent="qirl", episodes=30, seeds=(0,), output_dir=str(out), qirl=QiRLConfig())
+    expected = RunConfig(env_file=TINY, learner=QiRLConfig(), episodes=30, seeds=(0,), output_dir=str(out))
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config_hash"] == config_hash(expected, TINY_LAYOUT.read_bytes())
 
@@ -128,7 +129,9 @@ GOLDEN_HASHES = {
         "ql_eps", "--alpha", "0.5", "--gamma", "0.9",
         "--explore-initial", "0.5", "--explore-decay", "0.9", "--explore-floor", "0.05",
     ): "76aea35051be6e84b64a468288748159a7dc026d8571c4b1543956fc1b010b73",
-    ("ql_boltz", "--alpha", "0.5", "--gamma", "0.8"): "4b29e470fbc8564362c902edeb9ee92e8e1dd7ba5e6aaab5ad02b788a2fccfd8",
+    (
+        "ql_boltz", "--alpha", "0.5", "--gamma", "0.8",
+    ): "4b29e470fbc8564362c902edeb9ee92e8e1dd7ba5e6aaab5ad02b788a2fccfd8",
 }
 
 
@@ -377,20 +380,31 @@ def test_bad_input_is_refused_before_any_plan_or_training(
     assert calls == []
 
 
-def _float_options_of_run() -> list[tuple[str, str]]:
-    """(agent, flag) for every float option of `run`, each with an agent that takes it."""
+def _run_parser_actions() -> list[argparse.Action]:
     (subcommands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    run_parser = subcommands.choices["run"]
+    return subcommands.choices["run"]._actions
+
+
+def _knob_fields(config_type) -> set[str]:
+    return {f.name for f in dataclasses.fields(config_type)} - {"kind"}
+
+
+def test_run_knob_flags_are_the_fields_of_the_learner_configs():
+    """Each float flag of `run` is one field of QiRLConfig or QLConfig, named
+    after it, and every such field has its flag."""
+    knobs = {action.dest: action.option_strings for action in _run_parser_actions() if action.type is float}
+    assert set(knobs) == _knob_fields(QiRLConfig) | _knob_fields(QLConfig)
+    for dest, option_strings in knobs.items():
+        assert option_strings == ["--" + dest.replace("_", "-")]
+
+
+def _float_options_of_run() -> list[tuple[str, str]]:
+    """(agent, flag) for every float option of `run`, each with an agent whose config has that field."""
+    takers = {"qirl": _knob_fields(QiRLConfig), "ql_eps": _knob_fields(QLConfig), "ql_boltz": _knob_fields(QLConfig)}
     cases = []
-    for action in run_parser._actions:
+    for action in _run_parser_actions():
         if action.type is float:
-            if action.dest in cli._QIRL_KNOBS:
-                agents = ("qirl",)
-            elif action.dest in cli._BASELINE_KNOBS:
-                agents = ("ql_eps", "ql_boltz")
-            else:
-                agents = harness.AGENT_KINDS
-            cases += [(agent, action.option_strings[0]) for agent in agents]
+            cases += [(agent, action.option_strings[0]) for agent, names in takers.items() if action.dest in names]
     assert len(cases) >= 11, "the run parser's float options were not found"
     return cases
 
@@ -558,6 +572,21 @@ def test_weak_field_trains_with_a_boltzmann_floor_override(tmp_path):
     assert run_cli("run", *argv, "--out", str(tmp_path / "x"), "--explore-floor", "1e-6") == EXIT_OK
 
 
+def test_boltzmann_at_the_minimum_temperature_keeps_reaching_the_terminal(tmp_path):
+    """With cells paying 1e300 and tau decayed to 1e-12, q/tau overflows; the
+    softmax still draws the argmax rather than always action 3, so the last
+    episodes reach the terminal."""
+    layout = tmp_path / "loud.txt"
+    layout.write_text(TINY_LAYOUT.read_text().replace("uniform_reward 1.0", "uniform_reward 1e300"))
+    out = tmp_path / "x"
+    code = run_cli(
+        "run", "--config", str(layout), "--agent", "ql_boltz", "--episodes", "1200", "--seeds", "0", "--out", str(out),
+        "--alpha", "0.5", "--explore-decay", "0.5", "--explore-floor", "1e-12",
+    )
+    assert code == EXIT_OK
+    assert harness.read_episodes_csv(out / "episodes.csv")[0].reached[-100:] == [True] * 100
+
+
 def test_oracle_refuses_a_field_that_is_not_finite(tmp_path, capsys, monkeypatch):
     layout = tmp_path / "loud.txt"
     layout.write_text(TINY_LAYOUT.read_text().replace("uniform_reward 1.0", INFINITE_FIELD))
@@ -595,6 +624,14 @@ def test_bad_seed_list_is_config_error(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "seeds must be comma-separated integers" in capsys.readouterr().err
+
+
+def test_empty_seed_list_is_config_error(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = run_cli("run", "--config", TINY, "--agent", "qirl", "--episodes", "5", "--seeds", ",", "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: at least one seed is required\n"
+    assert not out.exists()
 
 
 def test_negative_seed_is_config_error_before_the_layout_is_read(tmp_path, capsys):

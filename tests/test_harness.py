@@ -15,6 +15,7 @@ from qirl_uav import harness
 from qirl_uav.agents import (
     QiRLAgent,
     QiRLConfig,
+    QLConfig,
     QLearningAgent,
     default_boltzmann_schedule,
     default_epsilon_schedule,
@@ -43,14 +44,14 @@ def log_of(returns) -> EpisodeLog:
     return EpisodeLog([float(r) for r in returns], [4] * len(returns), [True] * len(returns))
 
 
-def tiny_config(tmp_path, agent="qirl", episodes=30, seeds=(0, 1), **kw) -> RunConfig:
+def tiny_config(tmp_path, agent="qirl", episodes=30, seeds=(0, 1), **knobs) -> RunConfig:
+    """A run of `agent` on the tiny layout; knobs are fields of the agent kind's config."""
     return RunConfig(
         env_file=str(TINY_LAYOUT),
-        agent=agent,
+        learner=QiRLConfig(**knobs) if agent == "qirl" else QLConfig(agent, **knobs),
         episodes=episodes,
         seeds=seeds,
         output_dir=str(Path(tmp_path) / "out"),
-        **kw,
     )
 
 
@@ -191,47 +192,16 @@ def test_train_invariant_instrumentation_passes(tiny_env):
 
 
 def test_make_agent_dispatch(tiny_env):
-    cfg = tiny_config("/tmp", agent="qirl")
-    assert make_agent(cfg, tiny_env).name == "qirl"
-    assert make_agent(tiny_config("/tmp", agent="ql_eps"), tiny_env).name == "ql_eps"
-    boltz = make_agent(tiny_config("/tmp", agent="ql_boltz"), tiny_env)
+    assert make_agent(QiRLConfig(), tiny_env).name == "qirl"
+    assert make_agent(QLConfig("ql_eps"), tiny_env).name == "ql_eps"
+    boltz = make_agent(QLConfig("ql_boltz"), tiny_env)
     assert boltz.name == "ql_boltz"
     # boltzmann default temperature scales with the terminal bonus
     assert boltz.schedule.initial == tiny_env.terminal_bonus
     # an override replaces its own field of the kind's default schedule and keeps the rest
-    override = make_agent(tiny_config("/tmp", agent="ql_boltz", explore={"floor": 0.5}), tiny_env)
+    override = make_agent(QLConfig("ql_boltz", explore_floor=0.5), tiny_env)
     assert override.schedule == replace(default_boltzmann_schedule(tiny_env.terminal_bonus), floor=0.5)
-    assert make_agent(tiny_config("/tmp", agent="ql_eps"), tiny_env).schedule == default_epsilon_schedule()
-
-
-@pytest.mark.parametrize(
-    "agent, knobs",
-    [
-        ("ql_eps", {"qirl": QiRLConfig()}),
-        ("qirl", {"explore": {"decay": 0.5}}),
-        ("qirl", {"gamma": 0.9}),
-        ("qirl", {"alpha": 0.5, "qirl": QiRLConfig()}),
-    ],
-    ids=["eps-qirl-config", "qirl-schedule", "qirl-gamma", "qirl-alpha"],
-)
-def test_run_config_rejects_knobs_its_agent_ignores(tmp_path, agent, knobs):
-    with pytest.raises(ValueError, match=f"agent '{agent}' does not take"):
-        tiny_config(tmp_path, agent=agent, **knobs)
-
-
-@pytest.mark.parametrize("agent", ["ql_eps", "ql_boltz"])
-@pytest.mark.parametrize("key", ["kind", "tau"])
-def test_run_config_refuses_an_override_outside_initial_decay_floor(tmp_path, agent, key):
-    """`kind` is a schedule field too, but no run may switch its agent's kind."""
-    with pytest.raises(ValueError, match=f"exploration override '{key}' is not one of initial, decay, floor"):
-        tiny_config(tmp_path, agent=agent, explore={key: 0.5})
-
-
-def test_default_qirl_config_has_one_hash(tmp_path):
-    implicit = tiny_config(tmp_path, alpha=0.5)
-    explicit = tiny_config(tmp_path, alpha=0.5, qirl=QiRLConfig(alpha=0.5))
-    assert implicit.qirl == explicit.qirl
-    assert config_hash(implicit, b"layout") == config_hash(explicit, b"layout")
+    assert make_agent(QLConfig("ql_eps"), tiny_env).schedule == default_epsilon_schedule()
 
 
 def test_run_config_validation(tmp_path):
