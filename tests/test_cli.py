@@ -132,6 +132,9 @@ GOLDEN_HASHES = {
     (
         "ql_boltz", "--alpha", "0.5", "--gamma", "0.8",
     ): "4b29e470fbc8564362c902edeb9ee92e8e1dd7ba5e6aaab5ad02b788a2fccfd8",
+    ("ql_boltz", "--explore-initial", "3", "--explore-floor", "0.05"): (
+        "1fc09cd64d4d32f98a369f1491be4b41392a161b566a13e7164e2434db820115"
+    ),
 }
 
 
