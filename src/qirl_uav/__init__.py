@@ -3,14 +3,11 @@ uplink-rate grid worlds, collapse/amplification action selection, tabular
 baselines, exact DP oracles, and a reproducible experiment harness."""
 
 from .agents import (
-    ExplorationSchedule,
     QiRLAgent,
     QiRLConfig,
     QLConfig,
     QLearningAgent,
     Rollout,
-    default_boltzmann_schedule,
-    default_epsilon_schedule,
     greedy_rollout,
     qirl_select,
     qirl_update,

@@ -1,6 +1,8 @@
 """Tabular learners: the quantum-inspired agent (collapse selection plus
 multiplicative amplitude-style reinforcement) and two Q-learning baselines.
-Both the qirl collapse and the Boltzmann softmax draw with quantum.sample_index."""
+Each kind's settings live in one frozen config that checks them, QiRLConfig
+or QLConfig, and its agent is built as Agent(env, cfg). Both the qirl
+collapse and the Boltzmann softmax draw with quantum.sample_index."""
 
 from __future__ import annotations
 
@@ -62,51 +64,16 @@ class QiRLConfig:
 
 
 @dataclass(frozen=True)
-class ExplorationSchedule:
-    """Per-episode exploration parameter: max(floor, initial * decay^episode).
-    A Boltzmann floor is at least MIN_TEMPERATURE, so ql_select needs no check."""
-
-    kind: str  # "epsilon_greedy" or "boltzmann"
-    initial: float
-    decay: float
-    floor: float
-
-    def __post_init__(self):
-        if self.kind not in ("epsilon_greedy", "boltzmann"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not 0.0 <= self.initial < math.inf:
-            raise ValueError("initial must be non-negative and finite")
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError("decay must lie in (0, 1]")
-        if not (MIN_TEMPERATURE if self.kind == "boltzmann" else 0.0) <= self.floor < math.inf:
-            raise ValueError(f"floor must be at least {MIN_TEMPERATURE:g} for boltzmann (else 0) and finite")
-
-    def value(self, episode: int) -> float:
-        return max(self.floor, self.initial * self.decay**episode)
-
-
-def default_epsilon_schedule(**overrides: float) -> ExplorationSchedule:
-    return ExplorationSchedule("epsilon_greedy", **{"initial": 1.0, "decay": 0.995, "floor": 0.01, **overrides})
-
-
-def default_boltzmann_schedule(terminal_bonus: float, **overrides: float) -> ExplorationSchedule:
-    """tau from the terminal bonus down to 1% of it; overrides replace any of
-    initial, decay, floor. A default floor below MIN_TEMPERATURE names the
-    bonus, once the other fields pass, as the schedule checks its floor last."""
-    fields = {"initial": terminal_bonus, "decay": 0.995, "floor": 0.01 * terminal_bonus, **overrides}
-    if "floor" in overrides or fields["floor"] >= MIN_TEMPERATURE:
-        return ExplorationSchedule("boltzmann", **fields)
-    ExplorationSchedule("boltzmann", **{**fields, "floor": MIN_TEMPERATURE})  # another field's error first
-    message = f"default Boltzmann floor (1% of terminal bonus {terminal_bonus:g}) is below {MIN_TEMPERATURE:g}"
-    raise ValueError(f"{message}: set one with --explore-floor")
-
-
-@dataclass(frozen=True)
 class QLConfig:
-    """Settings of a Q-learning baseline, kind "ql_eps" or "ql_boltz". An
-    explore_* value left None keeps that field of the kind's default schedule;
-    schedule() resolves it against the env's terminal bonus, which Boltzmann's
-    default scales with. alpha and gamma are checked by QLearningAgent."""
+    """Settings of a Q-learning baseline, kind "ql_eps" or "ql_boltz". The
+    epsilon or temperature of episode k is max(floor, initial * decay^k); an
+    explore_* value left None keeps the kind's default, epsilon 1 down to 0.01
+    or tau from the env's terminal bonus down to 1% of it, each decaying by
+    0.995. schedule() resolves the defaults against that bonus.
+
+    Every rule refuses NaN and infinity; frozen, so none is bypassed later. A
+    Boltzmann floor is at least MIN_TEMPERATURE, so ql_select needs no check.
+    """
 
     kind: str
     alpha: float = 0.1
@@ -118,16 +85,30 @@ class QLConfig:
     def __post_init__(self):
         if self.kind not in ("ql_eps", "ql_boltz"):
             raise ValueError(f"kind must be ql_eps or ql_boltz, got {self.kind!r}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError("alpha must lie in (0, 1]")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
+        if self.explore_initial is not None and not 0.0 <= self.explore_initial < math.inf:
+            raise ValueError("initial must be non-negative and finite")
+        if self.explore_decay is not None and not 0.0 < self.explore_decay <= 1.0:
+            raise ValueError("decay must lie in (0, 1]")
+        least_floor = MIN_TEMPERATURE if self.kind == "ql_boltz" else 0.0
+        if self.explore_floor is not None and not least_floor <= self.explore_floor < math.inf:
+            raise ValueError(f"floor must be at least {MIN_TEMPERATURE:g} for boltzmann (else 0) and finite")
 
-    @property
-    def explore_overrides(self) -> dict[str, float]:
-        given = {"initial": self.explore_initial, "decay": self.explore_decay, "floor": self.explore_floor}
-        return {name: value for name, value in given.items() if value is not None}
-
-    def schedule(self, terminal_bonus: float) -> ExplorationSchedule:
-        if self.kind == "ql_eps":
-            return default_epsilon_schedule(**self.explore_overrides)
-        return default_boltzmann_schedule(terminal_bonus, **self.explore_overrides)
+    def schedule(self, terminal_bonus: float) -> tuple[float, float, float]:
+        """The resolved (initial, decay, floor); a default Boltzmann floor
+        below MIN_TEMPERATURE is refused, naming the bonus."""
+        initial, floor = (terminal_bonus, 0.01 * terminal_bonus) if self.kind == "ql_boltz" else (1.0, 0.01)
+        if self.explore_floor is None and floor < MIN_TEMPERATURE:
+            message = f"default Boltzmann floor (1% of terminal bonus {terminal_bonus:g}) is below {MIN_TEMPERATURE:g}"
+            raise ValueError(f"{message}: set one with --explore-floor")
+        return (
+            initial if self.explore_initial is None else self.explore_initial,
+            0.995 if self.explore_decay is None else self.explore_decay,
+            floor if self.explore_floor is None else self.explore_floor,
+        )
 
 
 def qirl_select(prefs, state: int, rng) -> int:
@@ -240,17 +221,18 @@ def qirl_update(
 
 
 def ql_select(q, state: int, kind: str, value: float, rng) -> int:
-    """Baseline action choice at this episode's epsilon or temperature.
+    """Baseline action choice at this episode's epsilon (kind "ql_eps") or
+    temperature ("ql_boltz").
 
     epsilon-greedy consumes two uniforms per call (branch, then action or
     tie-break); Boltzmann consumes one, in quantum.sample_index. Softmax
     subtracts the largest q/tau before exponentiating; where q/tau itself
     overflows, that is inf - inf, so it weights each action by
-    exp((q - max q) / tau) instead, whose largest weight is 1. ExplorationSchedule
+    exp((q - max q) / tau) instead, whose largest weight is 1. QLConfig
     keeps the temperature >= MIN_TEMPERATURE.
     """
     row = q[state]
-    if kind == "epsilon_greedy":
+    if kind == "ql_eps":
         u_branch = rng.random()
         u_pick = rng.random()
         if u_branch < value:
@@ -324,29 +306,26 @@ class QiRLAgent:
 
 
 class QLearningAgent:
-    """Q-table learner with an epsilon-greedy or Boltzmann schedule."""
+    """Q-table learner with an epsilon-greedy or Boltzmann schedule, resolved
+    from its QLConfig against the env's terminal bonus."""
 
-    def __init__(self, env: GridWorld, schedule: ExplorationSchedule, alpha: float = 0.1, gamma: float = 1.0):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+    def __init__(self, env: GridWorld, cfg: QLConfig):
         self.q_rows = [[0.0] * N_ACTIONS for _ in range(env.n_states)]
-        self.schedule, self.alpha, self.gamma, self.episode = schedule, alpha, gamma, 0
-        self.explore = schedule.value(0)  # epsilon or temperature for the current episode
-        self.name = "ql_eps" if schedule.kind == "epsilon_greedy" else "ql_boltz"
+        self.name, self.alpha, self.gamma, self.episode = cfg.kind, cfg.alpha, cfg.gamma, 0
+        self.initial, self.decay, self.floor = cfg.schedule(env.terminal_bonus)
+        self.explore = max(self.floor, self.initial)  # epsilon or temperature for the current episode
 
     q = property(lambda self: _snapshot(self.q_rows))
 
     def select(self, state: int, rng: np.random.Generator) -> int:
-        return ql_select(self.q_rows, state, self.schedule.kind, self.explore, rng)
+        return ql_select(self.q_rows, state, self.name, self.explore, rng)
 
     def update(self, state: int, action: int, reward: float, next_state: int, end: bool) -> None:
         ql_update(self.q_rows, state, action, reward, next_state, self.alpha, self.gamma, end)
 
     def end_episode(self) -> None:
         self.episode += 1
-        self.explore = self.schedule.value(self.episode)
+        self.explore = max(self.floor, self.initial * self.decay**self.episode)
 
     def greedy_action(self, state: int) -> int:
         row = self.q_rows[state]

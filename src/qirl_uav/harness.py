@@ -1,6 +1,8 @@
 """Seeded experiment runner: trains agents on a layout, writes episodes.csv,
-trajectory.csv, and summary.json, and computes convergence metrics. A seed's
-training record is one EpisodeLog of columns; no object is made per episode.
+trajectory.csv, and summary.json, and computes convergence metrics. A run's
+RunConfig holds one learner config, QiRLConfig or QLConfig, already checked;
+make_agent builds each seed's agent from it. A seed's training record is one
+EpisodeLog of columns; no object is made per episode.
 
 Reproducibility protocol: each (config, seed) pair gets its own numpy Philox
 generator (counter-based), Generator(Philox(seed)). Selection draw counts are
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import _INF, _NEG_INF, QiRLAgent, QiRLConfig, QLConfig, QLearningAgent, greedy_rollout
+from .agents import _INF, _NEG_INF, QiRLAgent, QiRLConfig, QLConfig, QLearningAgent, Rollout, greedy_rollout
 from .gridworld import GridWorld, build
 from .layout import parse_layout
 from .oracle import dp_optimal
@@ -78,11 +80,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def make_agent(learner: QiRLConfig | QLConfig, env: GridWorld):
-    """A fresh agent for one seed: qirl from its config, a baseline with its
-    kind's schedule resolved against env."""
-    if learner.kind == "qirl":
-        return QiRLAgent(env, learner)
-    return QLearningAgent(env, learner.schedule(env.terminal_bonus), alpha=learner.alpha, gamma=learner.gamma)
+    """A fresh agent for one seed, of the learner's kind."""
+    return (QiRLAgent if learner.kind == "qirl" else QLearningAgent)(env, learner)
 
 
 class _BlockUniforms:
@@ -188,15 +187,19 @@ def convergence_metrics(log: EpisodeLog, optimal_return: float, greedy_return: f
 
 def config_hash(config: RunConfig, env_file_bytes: bytes, terminal_bonus: float | None = None) -> str:
     """SHA-256 over the layout bytes and every setting that trains. A
-    baseline's schedule is hashed only when an explore_* override is set,
-    resolved as make_agent does, so a Boltzmann override needs the env's
-    terminal_bonus. A qirl run keeps the learner's fixed gamma of 1 in its
-    entries, so hashes match those of earlier runs."""
+    baseline's schedule is hashed only when an explore_* value is set,
+    resolved as the agent resolves it, so a Boltzmann one needs the env's
+    terminal_bonus. The payload keeps the entries of earlier runs, so their
+    hashes still match: a qirl run's fixed gamma of 1, and a schedule's kind
+    as "epsilon_greedy" or "boltzmann"."""
     learner = config.learner
     if learner.kind == "qirl":
         knobs = {"gamma": 1.0, "qirl": {**asdict(learner), "gamma": 1.0}, "schedule": None}
     else:
-        schedule = asdict(learner.schedule(terminal_bonus)) if learner.explore_overrides else None
+        schedule = None
+        if (learner.explore_initial, learner.explore_decay, learner.explore_floor) != (None, None, None):
+            schedule = dict(zip(("initial", "decay", "floor"), learner.schedule(terminal_bonus)))
+            schedule["kind"] = "epsilon_greedy" if learner.kind == "ql_eps" else "boltzmann"
         knobs = {"gamma": learner.gamma, "qirl": None, "schedule": schedule}
     payload = {
         "env_sha256": hashlib.sha256(env_file_bytes).hexdigest(),
@@ -252,7 +255,7 @@ def read_episodes_csv(path: Path) -> dict[int, EpisodeLog]:
     return logs_of
 
 
-def write_trajectory_csv(path: Path, env: GridWorld, rollouts: dict[int, "Rollout"]) -> None:
+def write_trajectory_csv(path: Path, env: GridWorld, rollouts: dict[int, Rollout]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)

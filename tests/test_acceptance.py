@@ -22,14 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from qirl_uav.agents import (
-    ExplorationSchedule,
-    QiRLAgent,
-    QiRLConfig,
-    QLearningAgent,
-    default_boltzmann_schedule,
-    greedy_rollout,
-)
+from qirl_uav.agents import QiRLAgent, QiRLConfig, QLConfig, QLearningAgent, greedy_rollout
 from qirl_uav.channel import CarrierConfig, path_loss_db
 from qirl_uav.gridworld import build
 from qirl_uav.harness import RunConfig, convergence_metrics, make_rng, run, train
@@ -81,12 +74,8 @@ def small_grid_runs(tiny_env_module):
     oracle = dp_optimal(env)
     recipes = {
         "qirl": lambda: QiRLAgent(env, QiRLConfig(alpha=0.5, k_plus=1 / 3, k_minus=-1 / 3, p_floor=0.01)),
-        "ql_eps": lambda: QLearningAgent(
-            env, ExplorationSchedule("epsilon_greedy", 1.0, 0.995, 0.05), alpha=0.5, gamma=0.9
-        ),
-        "ql_boltz": lambda: QLearningAgent(
-            env, default_boltzmann_schedule(env.terminal_bonus), alpha=0.5
-        ),
+        "ql_eps": lambda: QLearningAgent(env, QLConfig("ql_eps", alpha=0.5, gamma=0.9, explore_floor=0.05)),
+        "ql_boltz": lambda: QLearningAgent(env, QLConfig("ql_boltz", alpha=0.5)),
     }
     t0 = time.perf_counter()
     gaps = {}
@@ -113,15 +102,11 @@ def desk_runs(desk_env):
         "qirl": (800, lambda: QiRLAgent(desk_env, QiRLConfig(alpha=0.1))),
         "ql_eps": (
             1200,
-            lambda: QLearningAgent(
-                desk_env, ExplorationSchedule("epsilon_greedy", 1.0, 0.995, 0.05), alpha=0.5, gamma=0.8
-            ),
+            lambda: QLearningAgent(desk_env, QLConfig("ql_eps", alpha=0.5, gamma=0.8, explore_floor=0.05)),
         ),
         "ql_boltz": (
             1200,
-            lambda: QLearningAgent(
-                desk_env, default_boltzmann_schedule(desk_env.terminal_bonus), alpha=0.5, gamma=0.8
-            ),
+            lambda: QLearningAgent(desk_env, QLConfig("ql_boltz", alpha=0.5, gamma=0.8)),
         ),
     }
     t0 = time.perf_counter()

@@ -4,6 +4,7 @@ Q-table baselines, plus the schedule and rollout helpers."""
 import dataclasses
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -13,13 +14,11 @@ from hypothesis import strategies as st
 from qirl_uav.agents import (
     MAX_EXPONENT,
     MIN_TEMPERATURE,
-    ExplorationSchedule,
     _apply_floor,
     QiRLAgent,
     QiRLConfig,
+    QLConfig,
     QLearningAgent,
-    default_boltzmann_schedule,
-    default_epsilon_schedule,
     greedy_rollout,
     qirl_select,
     qirl_update,
@@ -52,7 +51,7 @@ def test_fresh_tables():
     assert qirl.values.shape == (9,) and np.all(qirl.values == 0.0)
     assert qirl.prefs.shape == (9, 4)
     assert np.all(qirl.prefs == 0.25)
-    q = QLearningAgent(env, default_epsilon_schedule()).q
+    q = QLearningAgent(env, QLConfig("ql_eps")).q
     assert q.shape == (9, 4) and np.all(q == 0.0)
 
 
@@ -95,14 +94,16 @@ def test_qirl_config_validation():
         (lambda v: QiRLConfig(exponent_clamp=v), "exponent_clamp must lie in"),
         (lambda v: QiRLConfig(p_floor=v), "p_floor must lie in"),
         (lambda v: QiRLConfig(alpha_decay=v), "alpha_decay must be non-negative and finite"),
-        (lambda v: ExplorationSchedule("epsilon_greedy", v, 0.9, 0.05), "initial must be non-negative and finite"),
-        (lambda v: ExplorationSchedule("epsilon_greedy", 1.0, v, 0.05), "decay must lie in"),
-        (lambda v: ExplorationSchedule("epsilon_greedy", 1.0, 0.9, v), "floor must be at least"),
-        (lambda v: ExplorationSchedule("boltzmann", 1.0, 0.9, v), "floor must be at least"),
+        (lambda v: QLConfig("ql_eps", alpha=v), "alpha must lie in"),
+        (lambda v: QLConfig("ql_eps", gamma=v), "gamma must lie in"),
+        (lambda v: QLConfig("ql_eps", explore_initial=v), "initial must be non-negative and finite"),
+        (lambda v: QLConfig("ql_eps", explore_decay=v), "decay must lie in"),
+        (lambda v: QLConfig("ql_eps", explore_floor=v), "floor must be at least"),
+        (lambda v: QLConfig("ql_boltz", explore_floor=v), "floor must be at least"),
     ],
     ids=[
         "alpha", "k_plus", "k_minus", "reward_scale", "exponent_clamp", "p_floor", "alpha_decay",
-        "initial", "decay", "epsilon floor", "boltzmann floor",
+        "ql alpha", "ql gamma", "initial", "decay", "epsilon floor", "boltzmann floor",
     ],
 )
 def test_every_float_knob_refuses_nan_and_infinity(make, complaint, value):
@@ -136,37 +137,83 @@ def test_alpha_decay_schedule():
 
 
 def test_exploration_schedule_decays_to_floor():
-    sched = ExplorationSchedule("epsilon_greedy", 1.0, 0.9, 0.05)
-    assert sched.value(0) == 1.0
-    assert sched.value(1) == pytest.approx(0.9)
-    assert sched.value(500) == 0.05
+    agent = QLearningAgent(make_uniform_env(), QLConfig("ql_eps", explore_decay=0.9, explore_floor=0.05))
+    explore = []
+    for _ in range(501):
+        explore.append(agent.explore)
+        agent.end_episode()
+    assert explore[0] == 1.0
+    assert explore[1] == pytest.approx(0.9)
+    assert explore[500] == 0.05
     with pytest.raises(ValueError):
-        ExplorationSchedule("greedy", 1.0, 0.9, 0.05)
+        QLConfig("greedy")
     with pytest.raises(ValueError):
-        ExplorationSchedule("epsilon_greedy", 1.0, 0.0, 0.05)
+        QLConfig("ql_eps", explore_decay=0.0)
     with pytest.raises(ValueError):
-        ExplorationSchedule("boltzmann", 1.0, 0.9, 0.0)  # temperature needs a positive floor
+        QLConfig("ql_boltz", explore_floor=0.0)  # temperature needs a positive floor
 
 
 def test_default_schedules():
-    eps = default_epsilon_schedule()
-    assert (eps.kind, eps.initial, eps.decay, eps.floor) == ("epsilon_greedy", 1.0, 0.995, 0.01)
-    boltz = default_boltzmann_schedule(10.0)
-    assert (boltz.kind, boltz.initial, boltz.floor) == ("boltzmann", 10.0, 0.1)
-    assert default_epsilon_schedule(decay=0.5) == dataclasses.replace(eps, decay=0.5)
-    assert default_boltzmann_schedule(10.0, floor=0.5) == dataclasses.replace(boltz, floor=0.5)
+    eps = QLConfig("ql_eps")
+    assert (eps.kind, *eps.schedule(10.0)) == ("ql_eps", 1.0, 0.995, 0.01)
+    boltz = QLConfig("ql_boltz")
+    initial, _, floor = boltz.schedule(10.0)
+    assert (boltz.kind, initial, floor) == ("ql_boltz", 10.0, 0.1)
+    assert QLConfig("ql_eps", explore_decay=0.5).schedule(10.0) == (1.0, 0.5, 0.01)
+    assert QLConfig("ql_boltz", explore_floor=0.5).schedule(10.0) == (10.0, 0.995, 0.5)
 
 
 def test_weak_field_needs_a_boltzmann_floor_override():
     # 1% of a 2e-13 bonus is under MIN_TEMPERATURE: the default floor is refused by name,
-    # while a valid override is checked alone and accepted
+    # while a valid floor is checked alone and accepted
     with pytest.raises(ValueError, match=r"default Boltzmann floor \(1% of terminal bonus 2e-13\).*--explore-floor"):
-        default_boltzmann_schedule(2e-13)
-    assert default_boltzmann_schedule(2e-13, floor=1e-6).floor == 1e-6
+        QLConfig("ql_boltz").schedule(2e-13)
+    assert QLConfig("ql_boltz", explore_floor=1e-6).schedule(2e-13)[2] == 1e-6
     with pytest.raises(ValueError, match="floor must be at least 1e-12"):
-        default_boltzmann_schedule(2e-13, floor=1e-13)  # an override is reported as given
+        QLConfig("ql_boltz", explore_floor=1e-13)  # a given floor is reported as given
     with pytest.raises(ValueError, match="decay must lie in"):
-        default_boltzmann_schedule(2e-13, decay=2.0)  # another field's error is not the floor's
+        QLConfig("ql_boltz", explore_decay=2.0)  # another field's error is not the floor's
+
+
+def written_out_default_schedule(kind: str, bonus: float) -> tuple[float, float, float]:
+    """(initial, decay, floor): epsilon 1 -> 0.01, tau from the bonus down to 1% of it."""
+    return (1.0, 0.995, 0.01) if kind == "ql_eps" else (bonus, 0.995, 0.01 * bonus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["ql_eps", "ql_boltz"]),
+    initial=st.none() | st.floats(0.0, 1e3),
+    decay=st.none() | st.floats(0.01, 0.99) | st.just(1.0),
+    floor=st.none() | st.just(0.0) | st.floats(MIN_TEMPERATURE, 1e3),
+    bonus=st.floats(0.0, 1e3),
+)
+@example(kind="ql_boltz", initial=None, decay=None, floor=None, bonus=1e-10)
+@example(kind="ql_boltz", initial=None, decay=None, floor=None, bonus=math.nextafter(1e-10, 0.0))
+@example(kind="ql_eps", initial=None, decay=None, floor=None, bonus=0.0)
+def test_agent_explore_is_the_resolved_schedule_bit_for_bit(kind, initial, decay, floor, bonus):
+    """After k end_episode calls the agent's epsilon or temperature is
+    max(floor, initial * decay**k) of the given values over the kind's
+    defaults, until it reaches the floor; the default Boltzmann floor is
+    refused exactly when it is under MIN_TEMPERATURE."""
+    if kind == "ql_boltz" and floor == 0.0:
+        floor = MIN_TEMPERATURE  # the one drawn floor a temperature may not take
+    cfg = QLConfig(kind, explore_initial=initial, explore_decay=decay, explore_floor=floor)
+    env = types.SimpleNamespace(n_states=1, terminal_bonus=bonus)
+    if kind == "ql_boltz" and floor is None and 0.01 * bonus < 1e-12:
+        with pytest.raises(ValueError, match="default Boltzmann floor"):
+            QLearningAgent(env, cfg)
+        return
+    agent = QLearningAgent(env, cfg)
+    defaults = written_out_default_schedule(kind, bonus)
+    i0, d, f = (default if value is None else value for value, default in zip((initial, decay, floor), defaults))
+    for k in range(8000):  # from at most 1e3 down to a floor of at least 1e-12 at decay 0.995: k < 6900
+        expected = max(f, i0 * d**k)
+        assert agent.explore.hex() == expected.hex(), k
+        if expected == f:
+            break
+        agent.end_episode()
+    assert expected == f or d == 1.0 or f == 0.0
 
 
 # ---------------------------------------------------------------- selection
@@ -201,29 +248,25 @@ def test_qirl_select_distribution():
 def test_epsilon_greedy_selection():
     q = np.zeros((1, 4))
     q[0] = [0.0, 2.0, 1.0, 0.0]
-    greedy = ExplorationSchedule("epsilon_greedy", 0.0, 1.0, 0.0)
-    assert all(ql_select(q, 0, greedy.kind, greedy.value(0), rng_of(4)) == 1 for _ in range(10))
-    explore = ExplorationSchedule("epsilon_greedy", 1.0, 1.0, 1.0)
+    assert all(ql_select(q, 0, "ql_eps", 0.0, rng_of(4)) == 1 for _ in range(10))
     rng = rng_of(5)
-    seen = {ql_select(q, 0, explore.kind, explore.value(0), rng) for _ in range(200)}
+    seen = {ql_select(q, 0, "ql_eps", 1.0, rng) for _ in range(200)}
     assert seen == {0, 1, 2, 3}
 
 
 def test_epsilon_greedy_breaks_ties_uniformly():
     q = np.zeros((1, 4))
     q[0] = [1.0, 1.0, 0.0, 0.0]
-    greedy = ExplorationSchedule("epsilon_greedy", 0.0, 1.0, 0.0)
     rng = rng_of(6)
-    counts = np.bincount([ql_select(q, 0, greedy.kind, greedy.value(0), rng) for _ in range(4000)], minlength=4)
+    counts = np.bincount([ql_select(q, 0, "ql_eps", 0.0, rng) for _ in range(4000)], minlength=4)
     assert counts[2] == counts[3] == 0
     assert abs(counts[0] - counts[1]) < 300
 
 
 def test_epsilon_greedy_consumes_two_uniforms_even_when_greedy():
     q = np.zeros((1, 4))
-    greedy = ExplorationSchedule("epsilon_greedy", 0.0, 1.0, 0.0)
     a, b = rng_of(7), rng_of(7)
-    ql_select(q, 0, greedy.kind, greedy.value(0), a)
+    ql_select(q, 0, "ql_eps", 0.0, a)
     b.random()
     b.random()
     assert a.random() == b.random()
@@ -232,19 +275,16 @@ def test_epsilon_greedy_consumes_two_uniforms_even_when_greedy():
 def test_boltzmann_selection_limits():
     q = np.zeros((1, 4))
     q[0] = [0.0, 1.0, 0.0, 0.0]
-    cold = ExplorationSchedule("boltzmann", 1e-6, 1.0, 1e-6)
-    assert all(ql_select(q, 0, cold.kind, cold.value(0), rng_of(8)) == 1 for _ in range(20))
-    hot = ExplorationSchedule("boltzmann", 1e6, 1.0, 1e6)
+    assert all(ql_select(q, 0, "ql_boltz", 1e-6, rng_of(8)) == 1 for _ in range(20))
     rng = rng_of(9)
-    counts = np.bincount([ql_select(q, 0, hot.kind, hot.value(0), rng) for _ in range(8000)], minlength=4)
+    counts = np.bincount([ql_select(q, 0, "ql_boltz", 1e6, rng) for _ in range(8000)], minlength=4)
     assert np.all(np.abs(counts / 8000 - 0.25) < 0.03)  # near-uniform at high temperature
 
 
 def test_boltzmann_survives_extreme_values():
     q = np.zeros((1, 4))
     q[0] = [1e8, -1e8, 0.0, 0.0]
-    sched = ExplorationSchedule("boltzmann", 1.0, 1.0, 1.0)
-    assert all(ql_select(q, 0, sched.kind, sched.value(0), rng_of(10)) == 0 for _ in range(20))
+    assert all(ql_select(q, 0, "ql_boltz", 1.0, rng_of(10)) == 0 for _ in range(20))
 
 
 @pytest.mark.parametrize(
@@ -257,7 +297,7 @@ def test_boltzmann_draws_the_argmax_when_q_over_tau_overflows(row, argmax):
     fell through to action 3; the draw is the argmax, ties split evenly, and
     each call still consumes one uniform."""
     rng, twin = rng_of(13), rng_of(13)
-    picks = [ql_select([row], 0, "boltzmann", MIN_TEMPERATURE, rng) for _ in range(2000)]
+    picks = [ql_select([row], 0, "ql_boltz", MIN_TEMPERATURE, rng) for _ in range(2000)]
     twin.random(2000)
     assert rng.random() == twin.random()
     counts = np.bincount(picks, minlength=4)
@@ -266,24 +306,28 @@ def test_boltzmann_draws_the_argmax_when_q_over_tau_overflows(row, argmax):
 
 
 def test_boltzmann_schedule_refuses_a_floor_below_the_minimum_temperature():
-    # the schedule is the one guard: value() never drops below the floor, and
-    # ql_select divides by whatever temperature it is given
+    # the config is the one guard: the agent's temperature never drops below the
+    # floor, and ql_select divides by whatever temperature it is given
     with pytest.raises(ValueError, match="at least 1e-12"):
-        ExplorationSchedule("boltzmann", 1.0, 0.5, 1e-13)
+        QLConfig("ql_boltz", explore_initial=1.0, explore_decay=0.5, explore_floor=1e-13)
     with pytest.raises(ValueError):
-        ExplorationSchedule("boltzmann", 1.0, 0.5, math.nan)
-    sched = ExplorationSchedule("boltzmann", 1.0, 0.5, MIN_TEMPERATURE)
-    assert min(sched.value(e) for e in range(200)) == MIN_TEMPERATURE
-    assert ql_select(np.zeros((1, 4)), 0, sched.kind, sched.value(199), rng_of(11)) in range(4)
-    ExplorationSchedule("epsilon_greedy", 1.0, 0.5, 0.0)  # epsilon may reach 0
+        QLConfig("ql_boltz", explore_initial=1.0, explore_decay=0.5, explore_floor=math.nan)
+    cfg = QLConfig("ql_boltz", explore_initial=1.0, explore_decay=0.5, explore_floor=MIN_TEMPERATURE)
+    agent = QLearningAgent(make_uniform_env(), cfg)
+    temperatures = []
+    for _ in range(200):
+        temperatures.append(agent.explore)
+        agent.end_episode()
+    assert min(temperatures) == MIN_TEMPERATURE
+    assert ql_select(np.zeros((1, 4)), 0, agent.name, temperatures[199], rng_of(11)) in range(4)
+    QLConfig("ql_eps", explore_initial=1.0, explore_decay=0.5, explore_floor=0.0)  # epsilon may reach 0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        sched.floor = 0.0
+        cfg.explore_floor = 0.0
 
 
 def test_boltzmann_consumes_one_uniform():
-    sched = ExplorationSchedule("boltzmann", 1.0, 1.0, 1.0)
     a, b = rng_of(12), rng_of(12)
-    ql_select(np.zeros((1, 4)), 0, sched.kind, sched.value(0), a)
+    ql_select(np.zeros((1, 4)), 0, "ql_boltz", 1.0, a)
     b.random()
     assert a.random() == b.random()
 
@@ -601,20 +645,20 @@ def test_qirl_agent_counts_updates_and_tracks_greedy():
 
 def test_qlearning_agent_names_follow_schedule():
     env = make_uniform_env()
-    assert QLearningAgent(env, default_epsilon_schedule()).name == "ql_eps"
-    assert QLearningAgent(env, default_boltzmann_schedule(env.terminal_bonus)).name == "ql_boltz"
-    with pytest.raises(ValueError):
-        QLearningAgent(env, default_epsilon_schedule(), alpha=0.0)
-    with pytest.raises(ValueError):
-        QLearningAgent(env, default_epsilon_schedule(), gamma=1.5)
+    assert QLearningAgent(env, QLConfig("ql_eps")).name == "ql_eps"
+    assert QLearningAgent(env, QLConfig("ql_boltz")).name == "ql_boltz"
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+        QLConfig("ql_eps", alpha=0.0)
+    with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\]"):
+        QLConfig("ql_eps", gamma=1.5)
 
 
 def test_qlearning_agent_advances_schedule_per_episode():
     env = make_uniform_env()
-    agent = QLearningAgent(env, ExplorationSchedule("epsilon_greedy", 1.0, 0.5, 0.0))
-    assert agent.schedule.value(agent.episode) == 1.0
+    agent = QLearningAgent(env, QLConfig("ql_eps", explore_initial=1.0, explore_decay=0.5, explore_floor=0.0))
+    assert agent.explore == 1.0
     agent.end_episode()
-    assert agent.schedule.value(agent.episode) == 0.5
+    assert agent.explore == 0.5
 
 
 def test_greedy_rollout_reaches_terminal_on_optimal_policy():

@@ -637,14 +637,24 @@ def test_empty_seed_list_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_negative_seed_is_config_error_before_the_layout_is_read(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "agent, flags, message",
+    [
+        ("qirl", ("--seeds", "0,-1"), "seeds must be non-negative"),
+        ("ql_eps", ("--alpha", "2"), "alpha must lie in (0, 1]"),
+        ("ql_eps", ("--gamma", "1.5"), "gamma must lie in [0, 1]"),
+        ("ql_eps", ("--explore-decay", "2"), "decay must lie in (0, 1]"),
+        ("ql_eps", ("--explore-floor", "-1"), "floor must be at least 1e-12 for boltzmann (else 0) and finite"),
+        ("ql_boltz", ("--explore-floor", "1e-13"), "floor must be at least 1e-12 for boltzmann (else 0) and finite"),
+    ],
+    ids=["seed", "alpha", "gamma", "explore-decay", "epsilon-floor", "boltzmann-floor"],
+)
+def test_bad_setting_is_config_error_before_the_layout_is_read(tmp_path, capsys, agent, flags, message):
     """The layout file does not exist: reading it would exit 2."""
-    code = run_cli(
-        "run", "--config", str(tmp_path / "absent.txt"), "--agent", "qirl",
-        "--episodes", "5", "--seeds", "0,-1", "--out", str(tmp_path / "x"),
-    )
+    argv = ["--config", str(tmp_path / "absent.txt"), "--agent", agent, "--episodes", "5", "--seeds", "0"]
+    code = run_cli("run", *argv, "--out", str(tmp_path / "x"), *flags)
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err == "error: seeds must be non-negative\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_invalid_hyperparameter_is_config_error(tmp_path, capsys):

@@ -13,13 +13,7 @@ import hashlib
 import pytest
 
 from qirl_uav import cli
-from qirl_uav.agents import (
-    ExplorationSchedule,
-    QiRLAgent,
-    QiRLConfig,
-    QLearningAgent,
-    default_boltzmann_schedule,
-)
+from qirl_uav.agents import QiRLAgent, QiRLConfig, QLConfig, QLearningAgent
 from qirl_uav.harness import UNIFORM_BLOCK, make_rng, train
 
 from conftest import DESK_LAYOUT, TINY_LAYOUT
@@ -88,8 +82,8 @@ def philox_draws(rng) -> int:
 
 AGENTS = {
     "qirl": (1, lambda env: QiRLAgent(env, QiRLConfig(alpha=0.5, k_plus=1 / 3, k_minus=-1 / 3, p_floor=0.01))),
-    "ql_eps": (2, lambda env: QLearningAgent(env, ExplorationSchedule("epsilon_greedy", 1.0, 0.995, 0.05), 0.5, 0.9)),
-    "ql_boltz": (1, lambda env: QLearningAgent(env, default_boltzmann_schedule(env.terminal_bonus), alpha=0.5)),
+    "ql_eps": (2, lambda env: QLearningAgent(env, QLConfig("ql_eps", alpha=0.5, gamma=0.9, explore_floor=0.05))),
+    "ql_boltz": (1, lambda env: QLearningAgent(env, QLConfig("ql_boltz", alpha=0.5))),
 }
 
 

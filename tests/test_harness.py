@@ -17,8 +17,6 @@ from qirl_uav.agents import (
     QiRLConfig,
     QLConfig,
     QLearningAgent,
-    default_boltzmann_schedule,
-    default_epsilon_schedule,
 )
 from qirl_uav.harness import (
     UNIFORM_BLOCK,
@@ -92,7 +90,7 @@ def test_train_refused_partway_leaves_the_generator_settled():
     uniform block: the refusal still leaves the generator at two draws per
     select made, in the middle of a block."""
     env = make_uniform_env(reward=0.999 * sys.float_info.max / 1000, max_steps=40)
-    agent = QLearningAgent(env, default_epsilon_schedule(), alpha=1.0)
+    agent = QLearningAgent(env, QLConfig("ql_eps", alpha=1.0))
     selects = []
     select = agent.select
     agent.select = lambda state, rng: selects.append(state) or select(state, rng)
@@ -121,7 +119,7 @@ def test_train_runs_with_the_collector_off_and_restores_it(enabled):
         assert gc.isenabled() is enabled
         env = make_uniform_env(reward=0.999 * sys.float_info.max / 1000, max_steps=40)
         with pytest.raises(ValueError, match="overflowed to inf"):
-            train(env, watched(QLearningAgent(env, default_epsilon_schedule(), alpha=1.0)), 300, make_rng(0))
+            train(env, watched(QLearningAgent(env, QLConfig("ql_eps", alpha=1.0))), 300, make_rng(0))
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
@@ -197,11 +195,13 @@ def test_make_agent_dispatch(tiny_env):
     boltz = make_agent(QLConfig("ql_boltz"), tiny_env)
     assert boltz.name == "ql_boltz"
     # boltzmann default temperature scales with the terminal bonus
-    assert boltz.schedule.initial == tiny_env.terminal_bonus
-    # an override replaces its own field of the kind's default schedule and keeps the rest
+    assert boltz.initial == tiny_env.terminal_bonus
+    # a given value replaces its own field of the kind's default schedule and keeps the rest
     override = make_agent(QLConfig("ql_boltz", explore_floor=0.5), tiny_env)
-    assert override.schedule == replace(default_boltzmann_schedule(tiny_env.terminal_bonus), floor=0.5)
-    assert make_agent(QLConfig("ql_eps"), tiny_env).schedule == default_epsilon_schedule()
+    initial, decay, _ = QLConfig("ql_boltz").schedule(tiny_env.terminal_bonus)
+    assert (override.initial, override.decay, override.floor) == (initial, decay, 0.5)
+    eps = make_agent(QLConfig("ql_eps"), tiny_env)
+    assert (eps.initial, eps.decay, eps.floor) == (1.0, 0.995, 0.01)
 
 
 def test_run_config_validation(tmp_path):
