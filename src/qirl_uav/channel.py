@@ -13,31 +13,19 @@ FSPL_OFFSET_DB = 147.55
 
 
 @dataclass(frozen=True)
-class Position3:
-    """Point in meters, z up."""
+class GroundUser:
+    """Uplink transmitter on the ground at (x, y) meters; the UAV hovers at
+    the grid's altitude above that plane."""
 
     x: float
     y: float
-    z: float
-
-    def __post_init__(self):
-        for v in (self.x, self.y, self.z):
-            if not math.isfinite(v):
-                raise ValueError("coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class GroundUser:
-    """Uplink transmitter on the ground (position z must be 0)."""
-
-    position: Position3
     tx_power: float  # W
     noise_power: float  # W
     bandwidth: float  # Hz
 
     def __post_init__(self):
-        if self.position.z != 0.0:
-            raise ValueError("ground user must sit at z = 0")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError("coordinates must be finite")
         for name in ("tx_power", "noise_power", "bandwidth"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"user {name} must be positive and finite")
@@ -79,8 +67,9 @@ def rate_field(
     at each grid point (xs[i], ys[j], altitude): one pass per user, in user
     order. The libm steps run through `map` and every + - * / in numpy, in
     the order of path_loss_db and snr, so each rate is bit-identical to those
-    scalar formulas. The first point whose coordinates or distance are not
-    finite is refused as Position3 and path_loss_db refuse it."""
+    scalar formulas. The first point whose distance is not finite is refused:
+    as `coordinates must be finite` when its x, y or the altitude is not,
+    else as path_loss_db refuses it."""
     if not users:
         raise ValueError("at least one ground user is required")
     if altitude <= 0.0:
@@ -89,8 +78,8 @@ def rate_field(
     carrier_db = 20.0 * math.log10(carrier.carrier_freq)
     total, first_refused = np.zeros(n), n
     for user in users:
-        dx = [x - user.position.x for x in xs] * len(ys)
-        dy = chain.from_iterable(map(repeat, [y - user.position.y for y in ys], repeat(n1)))
+        dx = [x - user.x for x in xs] * len(ys)
+        dy = chain.from_iterable(map(repeat, [y - user.y for y in ys], repeat(n1)))
         log_d = np.fromiter(map(math.log10, map(math.hypot, dx, dy, repeat(altitude))), float, n)
         finite = np.isfinite(log_d)  # where the distance is (hypot >= altitude > 0); inf would pay SNR 0 below
         if not finite.all():
@@ -104,7 +93,8 @@ def rate_field(
             gain = np.array([snr(pl, user) for pl in loss.tolist()])
         total += user.bandwidth * np.fromiter(map(math.log2, (1.0 + gain).tolist()), float, n)
     if first_refused < n:
-        Position3(xs[first_refused % n1], ys[first_refused // n1], altitude)
+        if not all(map(math.isfinite, (xs[first_refused % n1], ys[first_refused // n1], altitude))):
+            raise ValueError("coordinates must be finite")
         raise ValueError("distance must be positive and finite")
     return total.reshape(len(ys), n1)
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
 
-from .channel import CarrierConfig, GroundUser, Position3, rate_field
+from .channel import CarrierConfig, GroundUser, rate_field
 
 TERMINAL_BONUS_FACTOR = 10.0
 
@@ -44,30 +45,17 @@ class FieldError(ValueError):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Grid geometry: n1 x n2 cells of cell_size meters, flown at a fixed
-    altitude. origin is the (x, y) of cell (0, 0)'s center."""
+class EnvConfig:
+    """A layout's values: n1 x n2 cells of cell_size meters, flown at a fixed
+    altitude, origin being the (x, y) of cell (0, 0)'s center; the ground
+    users, carrier, start and terminal cells, step budget and bandwidth. Each
+    value is checked here, the grid's first."""
 
     n1: int
     n2: int
     cell_size: float
     origin: tuple[float, float]
     altitude: float
-
-    def __post_init__(self):
-        for name in ("n1", "n2"):
-            if getattr(self, name) < 2:
-                raise FieldError(name, "grid needs at least 2 cells per side")
-        for name in ("cell_size", "altitude"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise FieldError(name, f"{name} must be positive and finite")
-        if not all(-np.inf < v < np.inf for v in self.origin):
-            raise FieldError("origin", "origin must be finite")
-
-
-@dataclass(frozen=True)
-class EnvConfig:
-    grid: GridSpec
     users: tuple[GroundUser, ...]
     carrier: CarrierConfig
     start_cell: tuple[int, int]
@@ -78,7 +66,15 @@ class EnvConfig:
     boundary_penalty: float = 0.0
 
     def __post_init__(self):
-        n1, n2 = self.grid.n1, self.grid.n2
+        n1, n2 = self.n1, self.n2
+        for name in ("n1", "n2"):
+            if getattr(self, name) < 2:
+                raise FieldError(name, "grid needs at least 2 cells per side")
+        for name in ("cell_size", "altitude"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise FieldError(name, f"{name} must be positive and finite")
+        if not all(-np.inf < v < np.inf for v in self.origin):
+            raise FieldError("origin", "origin must be finite")
         for name in ("start_cell", "terminal_cell"):
             i, j = getattr(self, name)
             if not (0 <= i < n1 and 0 <= j < n2):
@@ -130,25 +126,28 @@ class GridWorld:
     state, boundary penalty (default 0), episode continues. Every move is
     read from `transition_model`, the one move model: the planners and the
     training loop read its arrays, and `step` makes one StepOutcome per call
-    from them. A field or terminal bonus that is not finite is refused here.
+    from them. The cell centers are computed once, as `xs` and `ys`; a
+    center, field or terminal bonus that is not finite is refused here.
     """
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        self.n1 = config.grid.n1
-        self.n2 = config.grid.n2
+        self.n1 = config.n1
+        self.n2 = config.n2
         self.n_states = self.n1 * self.n2
         self.max_steps = config.max_steps
         self.boundary_penalty = config.boundary_penalty
         self.start_state = self.state_of(*config.start_cell)
         self.terminal_state = self.state_of(*config.terminal_cell)
+        # cell centers along x and y; rates[j, i] ravels to state j * n1 + i
+        self.xs = [config.origin[0] + i * config.cell_size for i in range(self.n1)]
+        self.ys = [config.origin[1] + j * config.cell_size for j in range(self.n2)]
         if config.uniform_reward is not None:
             self.rewards = np.full(self.n_states, float(config.uniform_reward))
-        else:  # at the cell centers; rates[j, i] ravels to state j * n1 + i
-            grid = config.grid
-            xs = [grid.origin[0] + i * grid.cell_size for i in range(self.n1)]
-            ys = [grid.origin[1] + j * grid.cell_size for j in range(self.n2)]
-            self.rewards = rate_field(xs, ys, grid.altitude, config.users, config.carrier).ravel()
+        else:
+            self.rewards = rate_field(self.xs, self.ys, config.altitude, config.users, config.carrier).ravel()
+        if not all(map(math.isfinite, self.xs + self.ys)):
+            raise ValueError("coordinates must be finite")
         self.terminal_bonus = TERMINAL_BONUS_FACTOR * float(self.rewards.max())
         if not (np.isfinite(self.rewards).all() and np.isfinite(self.terminal_bonus)):
             raise ValueError(f"reward field is not finite: terminal bonus (10x its maximum) {self.terminal_bonus!r}")
@@ -162,11 +161,10 @@ class GridWorld:
         self._check_state(state)
         return state % self.n1, state // self.n1
 
-    def cell_center(self, state: int) -> Position3:
+    def cell_center(self, state: int) -> tuple[float, float]:
+        """(x, y) of the state's cell center in meters; the UAV flies at config.altitude."""
         i, j = self.cell_of(state)
-        ox, oy = self.config.grid.origin
-        size = self.config.grid.cell_size
-        return Position3(ox + i * size, oy + j * size, self.config.grid.altitude)
+        return self.xs[i], self.ys[j]
 
     @cached_property
     def transition_model(self) -> tuple[np.ndarray, np.ndarray]:

@@ -185,7 +185,7 @@ def convergence_metrics(log: EpisodeLog, optimal_return: float, greedy_return: f
     return ConvergenceMetric(episodes_to_90pct, final, gap)
 
 
-def config_hash(config: RunConfig, env_file_bytes: bytes, terminal_bonus: float | None = None) -> str:
+def config_hash(config: RunConfig, env_file_bytes: bytes, terminal_bonus: float) -> str:
     """SHA-256 over the layout bytes and every setting that trains. A
     baseline's schedule is hashed only when an explore_* value is set,
     resolved as the agent resolves it, so a Boltzmann one needs the env's
@@ -264,8 +264,8 @@ def write_trajectory_csv(path: Path, env: GridWorld, rollouts: dict[int, Rollout
             rewards = [0.0] + rollout.rewards  # step 0: the start cell, nothing collected yet
             for step, (state, reward) in enumerate(zip(rollout.states, rewards)):
                 i, j = env.cell_of(state)
-                center = env.cell_center(state)
-                writer.writerow([seed, step, i, j, _fmt(center.x), _fmt(center.y), _fmt(reward)])
+                x, y = env.cell_center(state)
+                writer.writerow([seed, step, i, j, _fmt(x), _fmt(y), _fmt(reward)])
 
 
 def run(config: RunConfig) -> dict[str, Path]:

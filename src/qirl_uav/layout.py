@@ -19,17 +19,17 @@ Users may be omitted only when uniform_reward is given. This module checks
 syntax only: one table, `_KEYWORDS`, gives each keyword's value names and
 type, and each line's keyword, arity and numbers are checked, in file order,
 as the line is read; missing required keywords are reported after the last
-line. The config dataclasses (GridSpec, EnvConfig, GroundUser, Position3,
-CarrierConfig) check every value, finiteness included. Either kind of error
-raises LayoutError with the line that supplied the value.
+line. The config dataclasses (EnvConfig, GroundUser, CarrierConfig) check
+every value, finiteness included. Either kind of error raises LayoutError
+with the line that supplied the value.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .channel import CarrierConfig, GroundUser, Position3
-from .gridworld import EnvConfig, FieldError, GridSpec
+from .channel import CarrierConfig, GroundUser
+from .gridworld import EnvConfig, FieldError
 
 
 class LayoutError(ValueError):
@@ -118,11 +118,11 @@ def parse_layout(path: str | Path, data: bytes | None = None) -> EnvConfig:
     carrier = _build(source, fields["carrier_freq"][1], CarrierConfig, value["carrier_freq"])
     parsed_users = []
     for (x, y, tx, noise, bw), ln in users:
-        parsed_users.append(_build(source, ln, lambda: GroundUser(Position3(x, y, 0.0), tx, noise, bw)))
+        parsed_users.append(_build(source, ln, GroundUser, x, y, tx, noise, bw))
 
     try:
         return EnvConfig(
-            grid=GridSpec(*value["grid"], cell_size, origin, value["altitude"]),
+            *value["grid"], cell_size, origin, value["altitude"],
             users=tuple(parsed_users),
             carrier=carrier,
             start_cell=value["start"],

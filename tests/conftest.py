@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from qirl_uav.channel import CarrierConfig, GroundUser, Position3
-from qirl_uav.gridworld import EnvConfig, GridSpec, GridWorld, build, manhattan
+from qirl_uav.channel import CarrierConfig, GroundUser
+from qirl_uav.gridworld import EnvConfig, GridWorld, build, manhattan
 from qirl_uav.layout import parse_layout
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -28,10 +28,13 @@ def make_uniform_env(
     """Synthetic constant-reward grid; terminal defaults to the far corner."""
     if terminal is None:
         terminal = (n1 - 1, n2 - 1)
-    grid = GridSpec(n1, n2, cell_size, (cell_size / 2, cell_size / 2), 100.0)
     return build(
         EnvConfig(
-            grid=grid,
+            n1=n1,
+            n2=n2,
+            cell_size=cell_size,
+            origin=(cell_size / 2, cell_size / 2),
+            altitude=100.0,
             users=(),
             carrier=CarrierConfig(2e9),
             start_cell=start,
@@ -57,13 +60,16 @@ def make_channel_env(
     if terminal is None:
         terminal = (n1 - 1, n2 - 1)
     users = tuple(
-        GroundUser(Position3(x, y, 0.0), tx_power=1.0, noise_power=1.0, bandwidth=2e6)
+        GroundUser(x, y, tx_power=1.0, noise_power=1.0, bandwidth=2e6)
         for x, y in users_xy
     )
-    grid = GridSpec(n1, n2, 20.0, (10.0, 10.0), 100.0)
     return build(
         EnvConfig(
-            grid=grid,
+            n1=n1,
+            n2=n2,
+            cell_size=20.0,
+            origin=(10.0, 10.0),
+            altitude=100.0,
             users=users,
             carrier=CarrierConfig(2e9),
             start_cell=start,

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from qirl_uav.channel import CarrierConfig, GroundUser, Position3, path_loss_db, rate_field, snr
+from qirl_uav.channel import CarrierConfig, GroundUser, path_loss_db, rate_field, snr
 
 CARRIER_2GHZ = CarrierConfig(2e9)
 
@@ -18,7 +18,7 @@ RATE_SINGLE_2MHZ = 0.04103406470624137
 
 
 def unit_user(x: float = 0.0, y: float = 0.0, bandwidth: float = 2e6) -> GroundUser:
-    return GroundUser(Position3(x, y, 0.0), tx_power=1.0, noise_power=1.0, bandwidth=bandwidth)
+    return GroundUser(x, y, tx_power=1.0, noise_power=1.0, bandwidth=bandwidth)
 
 
 def rate_at(x: float, y: float, z: float, users: tuple[GroundUser, ...], carrier: CarrierConfig) -> float:
@@ -59,7 +59,7 @@ def test_snr_reference_point():
 def test_snr_scales_linearly_with_tx_power():
     pl = 80.0
     base = snr(pl, unit_user())
-    doubled = snr(pl, GroundUser(Position3(0, 0, 0), 2.0, 1.0, 2e6))
+    doubled = snr(pl, GroundUser(0, 0, 2.0, 1.0, 2e6))
     assert doubled == 2.0 * base
 
 
@@ -106,17 +106,21 @@ def test_sum_rate_input_validation():
         rate_at(0, 0, -100.0, (unit_user(),), CARRIER_2GHZ)
 
 
+@pytest.mark.parametrize("altitude", [math.inf, math.nan], ids=["inf", "nan"])
+def test_altitude_that_is_not_finite_is_refused_as_a_coordinate(altitude):
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        rate_field([0.0], [0.0], altitude, (unit_user(),), CARRIER_2GHZ)
+
+
 def test_ground_user_validation():
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        GroundUser(math.inf, 0.0, 1.0, 1.0, 2e6)
     with pytest.raises(ValueError):
-        Position3(math.inf, 0.0, 0.0)
+        GroundUser(0, 0, 0.0, 1.0, 2e6)
     with pytest.raises(ValueError):
-        GroundUser(Position3(0, 0, 1.0), 1.0, 1.0, 2e6)  # not on the ground
+        GroundUser(0, 0, 1.0, -1.0, 2e6)
     with pytest.raises(ValueError):
-        GroundUser(Position3(0, 0, 0.0), 0.0, 1.0, 2e6)
-    with pytest.raises(ValueError):
-        GroundUser(Position3(0, 0, 0.0), 1.0, -1.0, 2e6)
-    with pytest.raises(ValueError):
-        GroundUser(Position3(0, 0, 0.0), 1.0, 1.0, 0.0)
+        GroundUser(0, 0, 1.0, 1.0, 0.0)
 
 
 def test_carrier_validation():

@@ -65,7 +65,7 @@ def test_plain_qirl_run_hashes_the_default_qirl_config(tmp_path):
     assert run_cli("run", "--config", TINY, *common) == EXIT_OK
     expected = RunConfig(env_file=TINY, learner=QiRLConfig(), episodes=30, seeds=(0,), output_dir=str(out))
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["config_hash"] == config_hash(expected, TINY_LAYOUT.read_bytes())
+    assert summary["config_hash"] == config_hash(expected, TINY_LAYOUT.read_bytes(), 10.0)
 
 
 BASELINE_FLAGS = [
@@ -136,6 +136,21 @@ GOLDEN_HASHES = {
         "1fc09cd64d4d32f98a369f1491be4b41392a161b566a13e7164e2434db820115"
     ),
 }
+
+
+def test_config_hash_needs_the_terminal_bonus_for_every_kind(tmp_path):
+    """A Boltzmann override resolves against the bonus, so no caller may
+    leave it out; with the tiny layout's bonus of 10 the hash is the run's."""
+
+    def config(learner):
+        return RunConfig(env_file=TINY, learner=learner, episodes=5, seeds=(0,), output_dir=str(tmp_path))
+
+    boltz = config(QLConfig("ql_boltz", explore_decay=0.5))
+    expected = GOLDEN_HASHES[("ql_boltz", "--explore-decay", "0.5")]
+    assert config_hash(boltz, TINY_LAYOUT.read_bytes(), 10.0) == expected
+    for learner in (QiRLConfig(), QLConfig("ql_eps"), QLConfig("ql_boltz"), boltz.learner):
+        with pytest.raises(TypeError):
+            config_hash(config(learner), TINY_LAYOUT.read_bytes())
 
 
 @pytest.mark.parametrize("agent_flags", list(GOLDEN_HASHES), ids="-".join)
@@ -543,6 +558,10 @@ FIELD_REFUSALS = {
         },
         "distance must be positive and finite",
     ),
+    "cell-center-overflows-without-users": (
+        {"cell_size 20": "cell_size 1.5e308", "uniform_reward 1.0": "uniform_reward 1.0\norigin 1e308 10"},
+        "coordinates must be finite",
+    ),
     "linear-loss-underflows": (
         {"altitude 100": "altitude 1e-200", "uniform_reward 1.0": "origin 0 0\nuser 0 0 1 1 1e6"},
         "reward field is not finite",
@@ -550,20 +569,42 @@ FIELD_REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("edits, complaint", list(FIELD_REFUSALS.values()), ids=list(FIELD_REFUSALS))
-def test_field_that_cannot_be_computed_is_config_error(tmp_path, capsys, edits, complaint):
-    """The field refuses the first cell, in state order, whose center or
-    distance to a user is not finite, as the per-cell scalar rule did; a
-    linear loss that underflows to 0 gives an infinite SNR, so the field is
-    refused as not finite."""
+def edited_layout(tmp_path, edits):
+    """The tiny layout with each `old: new` text replacement made."""
     text = TINY_LAYOUT.read_text()
     for old, new in edits.items():
         text = text.replace(old, new)
     layout = tmp_path / "layout.txt"
     layout.write_text(text)
-    assert run_cli("oracle", "--config", str(layout)) == EXIT_CONFIG
+    return layout
+
+
+@pytest.mark.parametrize("edits, complaint", list(FIELD_REFUSALS.values()), ids=list(FIELD_REFUSALS))
+def test_field_that_cannot_be_computed_is_config_error(tmp_path, capsys, edits, complaint):
+    """The field refuses the first cell, in state order, whose center or
+    distance to a user is not finite, as the per-cell scalar rule did; a
+    linear loss that underflows to 0 gives an infinite SNR, so the field is
+    refused as not finite. A uniform field reads no center, so the env checks
+    every center itself."""
+    assert run_cli("oracle", "--config", str(edited_layout(tmp_path, edits))) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: {complaint}") and "Traceback" not in err
+
+
+def test_run_refuses_an_overflowing_cell_center_before_training(tmp_path, capsys, monkeypatch):
+    """The centers are checked when the env is built, not when a greedy
+    rollout after training first enters such a cell."""
+    edits, complaint = FIELD_REFUSALS["cell-center-overflows-without-users"]
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train was called")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    out = tmp_path / "x"
+    argv = ["--agent", "ql_eps", "--episodes", "3", "--seeds", "0", "--out", str(out)]
+    assert run_cli("run", "--config", str(edited_layout(tmp_path, edits)), *argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {complaint}\n"
+    assert not out.exists()
 
 
 def test_weak_field_trains_with_a_boltzmann_floor_override(tmp_path):

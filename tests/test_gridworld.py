@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qirl_uav.channel import CarrierConfig, GroundUser, Position3, path_loss_db, rate_field, snr
+from qirl_uav.channel import CarrierConfig, GroundUser, path_loss_db, rate_field, snr
 from qirl_uav.gridworld import (
     ACTION_DELTAS,
     N_ACTIONS,
     Action,
     EnvConfig,
-    GridSpec,
     build,
     manhattan,
 )
@@ -57,8 +56,8 @@ def test_state_indexing_roundtrip():
 
 def test_cell_center_geometry():
     env = make_uniform_env(n1=4, n2=4, max_steps=6, cell_size=20.0)
-    center = env.cell_center(env.state_of(2, 3))
-    assert (center.x, center.y, center.z) == (50.0, 70.0, 100.0)
+    x, y = env.cell_center(env.state_of(2, 3))
+    assert (x, y, env.config.altitude) == (50.0, 70.0, 100.0)
 
 
 def test_step_moves_one_cell():
@@ -136,7 +135,7 @@ def assert_table_matches_geometry(env):
     at the edges, and the bonus for entering the terminal cell. Then check
     the arrays' absorbing terminal row, which `step` refuses."""
     cfg = env.config
-    n1, n2 = cfg.grid.n1, cfg.grid.n2
+    n1, n2 = cfg.n1, cfg.n2
     terminal = cfg.terminal_cell[1] * n1 + cfg.terminal_cell[0]
     bonus = 10.0 * float(env.rewards.max())
     moves = {Action.FORWARD: (0, 1), Action.BACKWARD: (0, -1), Action.LEFT: (-1, 0), Action.RIGHT: (1, 0)}
@@ -185,7 +184,11 @@ def test_transition_table_matches_geometry_on_drawn_grids(env):
 
 def _config(**overrides):
     base = dict(
-        grid=GridSpec(3, 3, 20.0, (10.0, 10.0), 100.0),
+        n1=3,
+        n2=3,
+        cell_size=20.0,
+        origin=(10.0, 10.0),
+        altitude=100.0,
         users=(),
         carrier=CarrierConfig(2e9),
         start_cell=(0, 0),
@@ -222,7 +225,7 @@ def test_build_refuses_rewards_that_are_not_finite():
     # the learners read every reward unchecked, so build is where a field that
     # is not finite must stop: a cell rate that overflows, or a terminal bonus
     # (10x the field maximum) that does
-    loud = GroundUser(Position3(0, 0, 0), 1e300, 1e-300, 1e6)
+    loud = GroundUser(0, 0, 1e300, 1e-300, 1e6)
     with pytest.raises(ValueError, match="not finite: terminal bonus .* inf"):
         build(_config(users=(loud,), uniform_reward=None))
     with pytest.raises(ValueError, match="not finite"):
@@ -230,22 +233,25 @@ def test_build_refuses_rewards_that_are_not_finite():
     assert build(_config(uniform_reward=1e307)).terminal_bonus == 1e308
 
 
-GROUND_USER = GroundUser(Position3(10, 10, 0), 1.0, 1.0, 2e6)
+GROUND_USER = GroundUser(10, 10, 1.0, 1.0, 2e6)
 FLOAT_FIELDS = [
     (lambda v: dataclasses.replace(GROUND_USER, tx_power=v), "user tx_power must be positive and finite"),
     (lambda v: dataclasses.replace(GROUND_USER, noise_power=v), "user noise_power must be positive and finite"),
     (lambda v: dataclasses.replace(GROUND_USER, bandwidth=v), "user bandwidth must be positive and finite"),
-    (lambda v: GridSpec(3, 3, v, (10.0, 10.0), 100.0), "cell_size must be positive and finite"),
-    (lambda v: GridSpec(3, 3, 20.0, (v, 10.0), 100.0), "origin must be finite"),
-    (lambda v: GridSpec(3, 3, 20.0, (10.0, v), 100.0), "origin must be finite"),
-    (lambda v: GridSpec(3, 3, 20.0, (10.0, 10.0), v), "altitude must be positive and finite"),
+    (lambda v: dataclasses.replace(GROUND_USER, x=v), "coordinates must be finite"),
+    (lambda v: dataclasses.replace(GROUND_USER, y=v), "coordinates must be finite"),
+    (lambda v: _config(cell_size=v), "cell_size must be positive and finite"),
+    (lambda v: _config(origin=(v, 10.0)), "origin must be finite"),
+    (lambda v: _config(origin=(10.0, v)), "origin must be finite"),
+    (lambda v: _config(altitude=v), "altitude must be positive and finite"),
     (lambda v: _config(total_bandwidth=v), "total bandwidth must be positive and finite"),
     (lambda v: _config(uniform_reward=v), "uniform_reward must be positive and finite"),
     (lambda v: _config(boundary_penalty=v), "boundary_penalty must be <= 0 and finite"),
 ]
+# the four grid rows, now EnvConfig fields, keep their GridSpec.* ids so each case's id stays stable
 FLOAT_FIELD_IDS = [
-    "GroundUser.tx_power", "GroundUser.noise_power", "GroundUser.bandwidth", "GridSpec.cell_size",
-    "GridSpec.origin x", "GridSpec.origin y", "GridSpec.altitude", "EnvConfig.total_bandwidth",
+    "GroundUser.tx_power", "GroundUser.noise_power", "GroundUser.bandwidth", "GroundUser.x", "GroundUser.y",
+    "GridSpec.cell_size", "GridSpec.origin x", "GridSpec.origin y", "GridSpec.altitude", "EnvConfig.total_bandwidth",
     "EnvConfig.uniform_reward", "EnvConfig.boundary_penalty",
 ]
 
@@ -260,18 +266,18 @@ def test_every_float_field_refuses_nan_and_infinity(make, complaint, value):
 
 
 def test_env_config_rejects_oversubscribed_bandwidth():
-    user = GroundUser(Position3(10, 10, 0), 1.0, 1.0, 6e6)
+    user = GroundUser(10, 10, 1.0, 1.0, 6e6)
     with pytest.raises(ValueError):
         _config(users=(user, user), uniform_reward=None, total_bandwidth=10e6)
 
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
-        GridSpec(1, 3, 20.0, (10, 10), 100.0)
+        _config(n1=1)
     with pytest.raises(ValueError):
-        GridSpec(3, 3, 0.0, (10, 10), 100.0)
+        _config(cell_size=0.0)
     with pytest.raises(ValueError):
-        GridSpec(3, 3, 20.0, (10, 10), -5.0)
+        _config(altitude=-5.0)
 
 
 def test_build_channel_rewards_peak_under_user_cluster():
@@ -286,10 +292,10 @@ def scalar_field(env):
     cfg = env.config
     rates = []
     for s in range(env.n_states):
-        c = env.cell_center(s)
+        x, y = env.cell_center(s)
         total = 0.0
         for u in cfg.users:
-            d = math.dist((c.x, c.y, c.z), (u.position.x, u.position.y, 0.0))
+            d = math.dist((x, y, cfg.altitude), (u.x, u.y, 0.0))
             total += u.bandwidth * math.log2(1.0 + snr(path_loss_db(d, cfg.carrier), u))
         rates.append(total)
     return np.array(rates)
@@ -300,7 +306,7 @@ def assert_field_is_scalar_field(env):
     assert env.rewards.tobytes() == expected.tobytes()
     cfg = env.config
     centers = map(env.cell_center, range(env.n_states))
-    per_cell = [rate_field([c.x], [c.y], c.z, cfg.users, cfg.carrier)[0, 0] for c in centers]
+    per_cell = [rate_field([x], [y], cfg.altitude, cfg.users, cfg.carrier)[0, 0] for x, y in centers]
     assert np.array(per_cell).tobytes() == expected.tobytes()
 
 
@@ -317,11 +323,15 @@ def channel_configs(draw):
     anywhere = st.tuples(*[st.one_of(st.floats(-1e6, 1e6), st.floats(-1e200, 1e200))] * 2)
     powers = st.floats(1e-9, 1e9)
     users = tuple(
-        GroundUser(Position3(x, y, 0.0), draw(powers), draw(powers), draw(st.floats(1.0, 1e7)))
+        GroundUser(x, y, draw(powers), draw(powers), draw(st.floats(1.0, 1e7)))
         for x, y in draw(st.lists(st.one_of(on_center, anywhere), min_size=1, max_size=5))
     )
     return EnvConfig(
-        grid=GridSpec(n1, n2, size, origin, draw(st.floats(1e-3, 1e5))),
+        n1=n1,
+        n2=n2,
+        cell_size=size,
+        origin=origin,
+        altitude=draw(st.floats(1e-3, 1e5)),
         users=users,
         carrier=CarrierConfig(draw(st.floats(1e6, 1e11))),
         start_cell=(0, 0),

@@ -345,17 +345,17 @@ def test_seed_changes_the_episode_stream(tmp_path):
 def test_config_hash_tracks_every_input(tmp_path):
     base = tiny_config(tmp_path)
     env_bytes = TINY_LAYOUT.read_bytes()
-    h = config_hash(base, env_bytes)
-    assert h == config_hash(tiny_config(tmp_path), env_bytes)
-    assert h != config_hash(tiny_config(tmp_path, alpha=0.2), env_bytes)
-    assert h != config_hash(tiny_config(tmp_path, episodes=31), env_bytes)
-    assert h != config_hash(tiny_config(tmp_path, seeds=(0, 1, 2)), env_bytes)
-    assert h != config_hash(tiny_config(tmp_path, agent="ql_eps"), env_bytes)
-    assert h != config_hash(base, env_bytes + b"\n# touched")
+    h = config_hash(base, env_bytes, 10.0)
+    assert h == config_hash(tiny_config(tmp_path), env_bytes, 10.0)
+    assert h != config_hash(tiny_config(tmp_path, alpha=0.2), env_bytes, 10.0)
+    assert h != config_hash(tiny_config(tmp_path, episodes=31), env_bytes, 10.0)
+    assert h != config_hash(tiny_config(tmp_path, seeds=(0, 1, 2)), env_bytes, 10.0)
+    assert h != config_hash(tiny_config(tmp_path, agent="ql_eps"), env_bytes, 10.0)
+    assert h != config_hash(base, env_bytes + b"\n# touched", 10.0)
     # output location is deliberately not part of the identity
     moved = tiny_config(tmp_path)
     moved.output_dir = str(tmp_path / "elsewhere")
-    assert h == config_hash(moved, env_bytes)
+    assert h == config_hash(moved, env_bytes, 10.0)
 
 
 def test_layout_edited_during_training_does_not_change_the_hash(tmp_path, monkeypatch):
@@ -372,7 +372,7 @@ def test_layout_edited_during_training_does_not_change_the_hash(tmp_path, monkey
     config = replace(tiny_config(tmp_path, seeds=(0,)), env_file=str(layout))
     summary = json.loads(run(config)["summary"].read_text())
     assert layout.read_bytes() != TINY_LAYOUT.read_bytes()
-    assert summary["config_hash"] == config_hash(config, TINY_LAYOUT.read_bytes())
+    assert summary["config_hash"] == config_hash(config, TINY_LAYOUT.read_bytes(), 10.0)
 
 
 def test_convergence_metric_shape():

@@ -30,7 +30,7 @@ def write_layout(tmp_path, lines, name="layout.txt"):
 
 def test_parses_shipped_synthetic_layout():
     cfg = parse_layout(TINY_LAYOUT)
-    assert (cfg.grid.n1, cfg.grid.n2) == (3, 3)
+    assert (cfg.n1, cfg.n2) == (3, 3)
     assert cfg.uniform_reward == 1.0
     assert cfg.users == ()
     assert cfg.start_cell == (0, 0)
@@ -40,9 +40,9 @@ def test_parses_shipped_synthetic_layout():
 
 def test_parses_shipped_uplink_layout():
     cfg = parse_layout(DESK_LAYOUT)
-    assert (cfg.grid.n1, cfg.grid.n2) == (10, 10)
-    assert cfg.grid.cell_size == 20.0
-    assert cfg.grid.altitude == 100.0
+    assert (cfg.n1, cfg.n2) == (10, 10)
+    assert cfg.cell_size == 20.0
+    assert cfg.altitude == 100.0
     assert cfg.carrier.carrier_freq == 2e9
     assert cfg.total_bandwidth == 10e6
     assert len(cfg.users) == 5
@@ -56,13 +56,13 @@ def test_comments_blanks_and_default_origin(tmp_path):
     lines = ["# header", ""] + VALID_LINES + ["  # trailing comment line"]
     cfg = parse_layout(write_layout(tmp_path, lines))
     # origin defaults to the center of cell (0,0)
-    assert cfg.grid.origin == (10.0, 10.0)
+    assert cfg.origin == (10.0, 10.0)
 
 
 def test_explicit_origin_and_boundary_penalty(tmp_path):
     lines = VALID_LINES + ["origin 0 5", "boundary_penalty -0.25"]
     cfg = parse_layout(write_layout(tmp_path, lines))
-    assert cfg.grid.origin == (0.0, 5.0)
+    assert cfg.origin == (0.0, 5.0)
     assert cfg.boundary_penalty == -0.25
 
 
@@ -71,7 +71,7 @@ def test_user_lines_parse_in_order(tmp_path):
     lines += ["user 10 20 1 1 2e6", "user 30 40 2 0.5 3e6"]
     cfg = parse_layout(write_layout(tmp_path, lines))
     assert len(cfg.users) == 2
-    assert (cfg.users[1].position.x, cfg.users[1].position.y) == (30.0, 40.0)
+    assert (cfg.users[1].x, cfg.users[1].y) == (30.0, 40.0)
     assert cfg.users[1].tx_power == 2.0
     assert cfg.uniform_reward is None
 
